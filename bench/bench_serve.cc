@@ -597,7 +597,7 @@ int main() {
       bare_p50, traced_p50, 100.0 * obs_overhead);
 
   const double int8_table_bytes =
-      static_cast<double>(int8_service.quantized_store()->TableBytes());
+      static_cast<double>(int8_service.AccountedBytes());
   std::printf(
       "\nint8 topk: %.2fx qps, table %.0f -> %.0f bytes (%.2fx smaller)\n",
       topk_int8.qps / topk.qps, fp64_table_bytes, int8_table_bytes,

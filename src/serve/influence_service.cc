@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <unordered_set>
 
 #include "kernels/kernels.h"
 #include "obs/trace.h"
@@ -19,84 +18,20 @@ uint64_t SteadyNowUs() {
           .count());
 }
 
-/// Reusable per-query scratch, sized once per request and reused across
-/// the scan so no candidate allocates.
-struct ScoreScratch {
-  std::vector<double> scores;  // Per-seed Eq. 7 terms.
-  std::vector<int32_t> idots;  // Per-seed int8 dots (int8 mode only).
-};
+}  // namespace
 
-/// Per-seed Eq. 7 terms for one candidate, then F(). kernels::SeedScan
-/// produces each per-seed dot bit-identical to kernels::Dot on the active
-/// backend, and the bias adds below keep the historical association
-/// (dot + b_u) + b~_v — so on the scalar backend the result is
-/// bit-identical to EmbeddingPredictor::ScoreActivation (which calls
-/// EmbeddingStore::Score per seed and aggregates).
-double ScoreCandidate(const SeedBlock& block, const double* target,
-                      double target_bias, Aggregation aggregation,
-                      ScoreScratch* scratch) {
-  const size_t num_seeds = block.num_seeds();
-  scratch->scores.resize(num_seeds);
-  kernels::SeedScan(block.sources.data(), num_seeds, block.stride, target,
-                    block.dim, scratch->scores.data());
-  for (size_t i = 0; i < num_seeds; ++i) {
-    scratch->scores[i] =
-        scratch->scores[i] + block.source_biases[i] + target_bias;
-  }
-  return Aggregate(aggregation, scratch->scores);
-}
-
-/// int8-mode counterpart: exact integer per-seed dots, dequantized
-/// through QuantizedEmbeddingStore::DequantScore — the same expression
-/// QuantizedEmbeddingStore::Score uses, so both paths agree bitwise.
-double ScoreCandidateQuantized(const SeedBlock& block, const int8_t* target,
-                               float target_scale, float target_bias,
-                               Aggregation aggregation,
-                               ScoreScratch* scratch) {
-  const size_t num_seeds = block.num_seeds();
-  scratch->scores.resize(num_seeds);
-  scratch->idots.resize(num_seeds);
-  kernels::SeedScanI8(block.q_sources.data(), num_seeds, block.q_stride,
-                      target, block.dim, scratch->idots.data());
-  for (size_t i = 0; i < num_seeds; ++i) {
-    scratch->scores[i] = QuantizedEmbeddingStore::DequantScore(
-        block.q_scales[i], target_scale, scratch->idots[i],
-        block.q_biases[i], target_bias);
-  }
-  return Aggregate(aggregation, scratch->scores);
-}
-
-/// Ranking order of the top-k result: descending score, ties broken by
-/// ascending user id.
 bool BetterThan(const TopKEntry& a, const TopKEntry& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.user < b.user;
-}
-
-}  // namespace
-
-const char* QuantModeName(QuantMode mode) {
-  return mode == QuantMode::kInt8 ? "int8" : "none";
-}
-
-bool ParseQuantModeName(const std::string& name, QuantMode* mode) {
-  if (name == "none") {
-    *mode = QuantMode::kNone;
-    return true;
-  }
-  if (name == "int8") {
-    *mode = QuantMode::kInt8;
-    return true;
-  }
-  return false;
 }
 
 InfluenceService::InfluenceService(ModelArtifact artifact,
                                    ServiceOptions options,
                                    std::string model_path,
                                    obs::MetricsRegistry* registry)
-    : artifact_(std::make_unique<ModelArtifact>(std::move(artifact))),
-      options_(std::move(options)),
+    : options_(std::move(options)),
+      metadata_(std::move(artifact.metadata)),
+      table_(ServingTable::FromArtifact(&artifact, options_.quantize)),
       model_path_(std::move(model_path)),
       cache_(std::make_unique<SeedBlockCache>(options_.seed_cache_capacity)),
       batch_mu_(std::make_unique<std::mutex>()) {
@@ -104,7 +39,7 @@ InfluenceService::InfluenceService(ModelArtifact artifact,
     default_aggregation_ = *options_.aggregation;
   } else {
     const Result<Aggregation> parsed =
-        ParseAggregation(artifact_->metadata.aggregation);
+        ParseAggregation(metadata_.aggregation);
     default_aggregation_ = parsed.ok() ? parsed.value() : Aggregation::kAve;
   }
   const uint32_t threads =
@@ -112,27 +47,10 @@ InfluenceService::InfluenceService(ModelArtifact artifact,
   if (threads > 1) batch_pool_ = std::make_unique<ThreadPool>(threads);
   if (options_.scan_block == 0) options_.scan_block = 2048;
 
-  if (options_.quantize == QuantMode::kInt8) {
-    // Prefer the artifact's persisted int8 section (one quantization,
-    // done offline by `quantize`); fall back to quantizing the fp64
-    // table at load — identical codes either way, just slower startup.
-    if (artifact_->quantized.has_value()) {
-      qstore_ = std::make_unique<QuantizedEmbeddingStore>(
-          std::move(*artifact_->quantized));
-      artifact_->quantized.reset();
-    } else {
-      qstore_ = std::make_unique<QuantizedEmbeddingStore>(
-          QuantizedEmbeddingStore::FromStore(artifact_->store));
-    }
-  }
-
-  obs::MemoryRegistry& mem = obs::MemoryRegistry::Default();
-  table_bytes_ = obs::ScopedBytes(mem.GetGauge("serve.embedding_table"),
-                                  artifact_->store.ApproxBytes());
-  if (qstore_ != nullptr) {
-    qtable_bytes_ = obs::ScopedBytes(mem.GetGauge("serve.quantized_table"),
-                                     qstore_->TableBytes());
-  }
+  table_bytes_ = obs::ScopedBytes(
+      obs::MemoryRegistry::Default().GetGauge(std::string("serve.") +
+                                              table_.name()),
+      table_.bytes());
 
   score_requests_ = registry->GetCounter("serve.score.requests");
   topk_requests_ = registry->GetCounter("serve.topk.requests");
@@ -181,6 +99,11 @@ uint64_t InfluenceService::NowUs() const {
   return options_.clock_us ? options_.clock_us() : SteadyNowUs();
 }
 
+Status InfluenceService::Fail(Status status) const {
+  if (obs::MetricsEnabled()) errors_->Increment();
+  return status;
+}
+
 uint64_t InfluenceService::ResolveDeadline(uint64_t request_deadline_us,
                                            uint64_t start_us) const {
   const uint64_t budget = request_deadline_us != 0
@@ -189,18 +112,17 @@ uint64_t InfluenceService::ResolveDeadline(uint64_t request_deadline_us,
   return budget == 0 ? 0 : start_us + budget;
 }
 
-Status InfluenceService::ValidateSeeds(
-    const std::vector<UserId>& seeds) const {
+Status ValidateSeedSet(const std::vector<UserId>& seeds, uint32_t max_seeds,
+                       uint32_t num_users) {
   if (seeds.empty()) {
     return Status::InvalidArgument(
         "seed set is empty: at least one activated influencer is required");
   }
-  if (seeds.size() > options_.max_seeds) {
-    return Status::InvalidArgument(
-        "seed set too large: " + std::to_string(seeds.size()) + " > max " +
-        std::to_string(options_.max_seeds));
+  if (seeds.size() > max_seeds) {
+    return Status::InvalidArgument("seed set too large: " +
+                                   std::to_string(seeds.size()) + " > max " +
+                                   std::to_string(max_seeds));
   }
-  const uint32_t num_users = store().num_users();
   for (UserId u : seeds) {
     if (u >= num_users) {
       return Status::NotFound("unknown seed user " + std::to_string(u) +
@@ -211,139 +133,111 @@ Status InfluenceService::ValidateSeeds(
   return Status::OK();
 }
 
+Status ValidateK(uint32_t k, uint32_t max_k) {
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  if (k > max_k) {
+    return Status::InvalidArgument("k too large: " + std::to_string(k) +
+                                   " > max " + std::to_string(max_k));
+  }
+  return Status::OK();
+}
+
+Status InfluenceService::ValidateCandidate(UserId candidate) const {
+  if (candidate >= num_users()) {
+    return Status::NotFound("unknown candidate user " +
+                            std::to_string(candidate));
+  }
+  return Status::OK();
+}
+
 Aggregation InfluenceService::ResolveAggregation(
     const std::optional<Aggregation>& requested) const {
   return requested.value_or(default_aggregation_);
 }
 
 double InfluenceService::Warm() const {
-  const EmbeddingStore& s = store();
-  double checksum = 0.0;
-  for (UserId u = 0; u < s.num_users(); ++u) {
-    for (double x : s.Source(u)) checksum += x;
-    for (double x : s.Target(u)) checksum += x;
-    checksum += s.source_bias(u) + s.target_bias(u);
-  }
-  if (qstore_ != nullptr) {
-    for (UserId u = 0; u < qstore_->num_users(); ++u) {
-      for (int8_t x : qstore_->Source(u)) checksum += x;
-      for (int8_t x : qstore_->Target(u)) checksum += x;
-      checksum += qstore_->source_scale(u) + qstore_->target_scale(u) +
-                  qstore_->source_bias(u) + qstore_->target_bias(u);
-    }
-  }
+  const double checksum = table_.Warm();
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    registry.GetGauge("serve.model.num_users")->Set(s.num_users());
-    registry.GetGauge("serve.model.dim")->Set(s.dim());
+    registry.GetGauge("serve.model.num_users")->Set(num_users());
+    registry.GetGauge("serve.model.dim")->Set(dim());
   }
   return checksum;
+}
+
+std::shared_ptr<const SeedBlock> InfluenceService::LookupBlock(
+    const std::vector<UserId>& seeds, bool* cache_hit) const {
+  std::shared_ptr<const SeedBlock> block;
+  {
+    obs::TraceSpan span("cache_lookup", "serve");
+    block = cache_->Get(table_, seeds, cache_hit);
+    span.SetAttr("cache_hit", *cache_hit);
+  }
+  if (obs::MetricsEnabled()) {
+    (*cache_hit ? cache_hits_ : cache_misses_)->Increment();
+  }
+  return block;
+}
+
+double InfluenceService::ScoreOne(const SeedBlock& block, UserId candidate,
+                                  Aggregation aggregation,
+                                  uint64_t start) const {
+  double score;
+  {
+    obs::TraceSpan span("kernel_scan", "serve");
+    span.SetAttr("seed_count", static_cast<uint64_t>(block.num_seeds()));
+    score = table_.Score(block, candidate, aggregation);
+  }
+  if (obs::MetricsEnabled()) score_latency_us_->Record(NowUs() - start);
+  return score;
 }
 
 Result<ScoreResult> InfluenceService::ScoreActivation(
     const ScoreRequest& request) const {
   const uint64_t start = NowUs();
   if (obs::MetricsEnabled()) score_requests_->Increment();
-  const auto fail = [this](Status status) -> Status {
-    if (obs::MetricsEnabled()) errors_->Increment();
-    return status;
-  };
 
-  if (request.candidate >= store().num_users()) {
-    return fail(Status::NotFound("unknown candidate user " +
-                                 std::to_string(request.candidate)));
-  }
+  const Status candidate_ok = ValidateCandidate(request.candidate);
+  if (!candidate_ok.ok()) return Fail(candidate_ok);
   const Status seeds_ok = ValidateSeeds(request.seeds);
-  if (!seeds_ok.ok()) return fail(seeds_ok);
+  if (!seeds_ok.ok()) return Fail(seeds_ok);
 
   const uint64_t deadline = ResolveDeadline(request.deadline_us, start);
   bool cache_hit = false;
-  std::shared_ptr<const SeedBlock> block;
-  {
-    obs::TraceSpan span("cache_lookup", "serve");
-    block = qstore_ != nullptr
-                ? cache_->Get(*qstore_, request.seeds, &cache_hit)
-                : cache_->Get(store(), request.seeds, &cache_hit);
-    span.SetAttr("cache_hit", cache_hit);
-  }
-  if (obs::MetricsEnabled()) {
-    (cache_hit ? cache_hits_ : cache_misses_)->Increment();
-  }
+  const std::shared_ptr<const SeedBlock> block =
+      LookupBlock(request.seeds, &cache_hit);
   if (deadline != 0 && NowUs() > deadline) {
     if (obs::MetricsEnabled()) deadline_exceeded_->Increment();
-    return fail(Status::DeadlineExceeded("score query exceeded deadline"));
+    return Fail(Status::DeadlineExceeded("score query exceeded deadline"));
   }
 
-  ScoreScratch scratch;
-  const Aggregation aggregation = ResolveAggregation(request.aggregation);
   ScoreResult result;
   result.cache_hit = cache_hit;
-  {
-    obs::TraceSpan span("kernel_scan", "serve");
-    span.SetAttr("seed_count", static_cast<uint64_t>(request.seeds.size()));
-    if (qstore_ != nullptr) {
-      result.score = ScoreCandidateQuantized(
-          *block, qstore_->Target(request.candidate).data(),
-          qstore_->target_scale(request.candidate),
-          qstore_->target_bias(request.candidate), aggregation, &scratch);
-    } else {
-      result.score = ScoreCandidate(
-          *block, store().Target(request.candidate).data(),
-          store().target_bias(request.candidate), aggregation, &scratch);
-    }
-  }
-  if (obs::MetricsEnabled()) score_latency_us_->Record(NowUs() - start);
+  result.score = ScoreOne(*block, request.candidate,
+                          ResolveAggregation(request.aggregation), start);
   return result;
 }
 
 Result<TopKResult> InfluenceService::TopK(const TopKRequest& request) const {
   const uint64_t start = NowUs();
   if (obs::MetricsEnabled()) topk_requests_->Increment();
-  const auto fail = [this](Status status) -> Status {
-    if (obs::MetricsEnabled()) errors_->Increment();
-    return status;
-  };
 
-  if (request.k == 0) {
-    return fail(Status::InvalidArgument("k must be positive"));
-  }
-  if (request.k > options_.max_k) {
-    return fail(Status::InvalidArgument(
-        "k too large: " + std::to_string(request.k) + " > max " +
-        std::to_string(options_.max_k)));
-  }
+  const Status k_ok = ValidateK(request.k, options_.max_k);
+  if (!k_ok.ok()) return Fail(k_ok);
   const Status seeds_ok = ValidateSeeds(request.seeds);
-  if (!seeds_ok.ok()) return fail(seeds_ok);
+  if (!seeds_ok.ok()) return Fail(seeds_ok);
 
   const uint64_t deadline = ResolveDeadline(request.deadline_us, start);
   const Aggregation aggregation = ResolveAggregation(request.aggregation);
 
   bool cache_hit = false;
-  std::shared_ptr<const SeedBlock> block;
-  {
-    obs::TraceSpan span("cache_lookup", "serve");
-    block = qstore_ != nullptr
-                ? cache_->Get(*qstore_, request.seeds, &cache_hit)
-                : cache_->Get(store(), request.seeds, &cache_hit);
-    span.SetAttr("cache_hit", cache_hit);
-  }
-  if (obs::MetricsEnabled()) {
-    (cache_hit ? cache_hits_ : cache_misses_)->Increment();
-  }
+  const std::shared_ptr<const SeedBlock> block =
+      LookupBlock(request.seeds, &cache_hit);
 
-  // Seeds to skip, sorted: the scan visits candidates in ascending id
-  // order, so one walking index replaces a per-candidate hash lookup.
-  std::vector<UserId> excluded;
-  if (!request.include_seeds) {
-    excluded.assign(request.seeds.begin(), request.seeds.end());
-    std::sort(excluded.begin(), excluded.end());
-    excluded.erase(std::unique(excluded.begin(), excluded.end()),
-                   excluded.end());
-  }
-
-  Result<TopKResult> result = ScanTopK(*block, request.k, aggregation,
-                                       excluded, deadline,
-                                       request.seeds.size());
+  Result<TopKResult> result = ScanTopK(
+      *block, request.k, aggregation,
+      request.include_seeds ? std::vector<UserId>() : request.seeds, deadline,
+      request.seeds.size());
   INF2VEC_RETURN_IF_ERROR(result.status());
   result.value().cache_hit = cache_hit;
   if (obs::MetricsEnabled()) topk_latency_us_->Record(NowUs() - start);
@@ -352,46 +246,39 @@ Result<TopKResult> InfluenceService::TopK(const TopKRequest& request) const {
 
 Result<TopKResult> InfluenceService::ScanTopK(
     const SeedBlock& block, uint32_t k, Aggregation aggregation,
-    const std::vector<UserId>& excluded, uint64_t deadline,
+    std::vector<UserId> excluded, uint64_t deadline,
     uint64_t num_seeds) const {
+  // Ids to skip, sorted: the scan visits candidates in ascending id
+  // order, so one walking index replaces a per-candidate hash lookup.
+  std::sort(excluded.begin(), excluded.end());
+  excluded.erase(std::unique(excluded.begin(), excluded.end()),
+                 excluded.end());
   size_t next_excluded = 0;
 
   // Cache-blocked scan: the gathered seed block stays hot while target
   // rows stream through, `scan_block` targets between deadline checks.
-  // A bounded heap keeps the k current winners with the weakest on top.
-  const EmbeddingStore& s = store();
-  ScoreScratch scratch;
-  const auto score_candidate = [&](UserId v) {
-    if (qstore_ != nullptr) {
-      return ScoreCandidateQuantized(block, qstore_->Target(v).data(),
-                                     qstore_->target_scale(v),
-                                     qstore_->target_bias(v), aggregation,
-                                     &scratch);
-    }
-    return ScoreCandidate(block, s.Target(v).data(), s.target_bias(v),
-                          aggregation, &scratch);
-  };
+  // The table scores a whole block of candidates per call; a bounded
+  // heap keeps the k current winners with the weakest on top.
+  const uint32_t users = num_users();
+  std::vector<double> scores(
+      std::min<uint64_t>(options_.scan_block, users));
   std::vector<TopKEntry> heap;
   heap.reserve(k);
   TopKResult result;
-  const uint32_t num_users = s.num_users();
   {
     obs::TraceSpan span("kernel_scan", "serve");
     span.SetAttr("seed_count", num_seeds);
-    span.SetAttr("candidates", static_cast<uint64_t>(num_users));
-    for (uint32_t begin = 0; begin < num_users;
-         begin += options_.scan_block) {
+    span.SetAttr("candidates", static_cast<uint64_t>(users));
+    for (uint32_t begin = 0; begin < users; begin += options_.scan_block) {
       if (deadline != 0 && NowUs() > deadline) {
-        if (obs::MetricsEnabled()) {
-          deadline_exceeded_->Increment();
-          errors_->Increment();
-        }
-        return Status::DeadlineExceeded(
+        if (obs::MetricsEnabled()) deadline_exceeded_->Increment();
+        return Fail(Status::DeadlineExceeded(
             "top-k scan exceeded deadline after " +
-            std::to_string(result.scanned) + " candidates");
+            std::to_string(result.scanned) + " candidates"));
       }
       const uint32_t end =
-          std::min<uint64_t>(num_users, uint64_t{begin} + options_.scan_block);
+          std::min<uint64_t>(users, uint64_t{begin} + options_.scan_block);
+      table_.ScoreRange(block, aggregation, begin, end, scores.data());
       for (uint32_t v = begin; v < end; ++v) {
         while (next_excluded < excluded.size() &&
                excluded[next_excluded] < v) {
@@ -402,7 +289,7 @@ Result<TopKResult> InfluenceService::ScanTopK(
           continue;
         }
         ++result.scanned;
-        const TopKEntry entry{v, score_candidate(v)};
+        const TopKEntry entry{v, scores[v - begin]};
         if (heap.size() < k) {
           heap.push_back(entry);
           std::push_heap(heap.begin(), heap.end(), BetterThan);
@@ -433,49 +320,24 @@ Status InfluenceService::ValidateBlock(const SeedBlock& block) const {
         "seed block too large: " + std::to_string(block.num_seeds()) +
         " > max " + std::to_string(options_.max_seeds));
   }
-  if (block.dim != store().dim()) {
-    return Status::InvalidArgument(
-        "seed block dim " + std::to_string(block.dim) +
-        " disagrees with model dim " + std::to_string(store().dim()));
-  }
-  if (block.quantized != (qstore_ != nullptr)) {
-    return Status::FailedPrecondition(
-        std::string("seed block quantization mode mismatch: block is ") +
-        (block.quantized ? "int8" : "fp64") + ", service serves " +
-        QuantModeName(quant_mode()));
-  }
-  return Status::OK();
+  return table_.CheckBlock(block);
 }
 
 Result<TopKResult> InfluenceService::TopKWithBlock(
     const SeedBlock& block, const BlockTopKRequest& request) const {
   const uint64_t start = NowUs();
   if (obs::MetricsEnabled()) topk_requests_->Increment();
-  const auto fail = [this](Status status) -> Status {
-    if (obs::MetricsEnabled()) errors_->Increment();
-    return status;
-  };
 
-  if (request.k == 0) {
-    return fail(Status::InvalidArgument("k must be positive"));
-  }
-  if (request.k > options_.max_k) {
-    return fail(Status::InvalidArgument(
-        "k too large: " + std::to_string(request.k) + " > max " +
-        std::to_string(options_.max_k)));
-  }
+  const Status k_ok = ValidateK(request.k, options_.max_k);
+  if (!k_ok.ok()) return Fail(k_ok);
   const Status block_ok = ValidateBlock(block);
-  if (!block_ok.ok()) return fail(block_ok);
+  if (!block_ok.ok()) return Fail(block_ok);
 
   const uint64_t deadline = ResolveDeadline(request.deadline_us, start);
   const Aggregation aggregation = ResolveAggregation(request.aggregation);
-  std::vector<UserId> excluded = request.exclude;
-  std::sort(excluded.begin(), excluded.end());
-  excluded.erase(std::unique(excluded.begin(), excluded.end()),
-                 excluded.end());
-
-  Result<TopKResult> result = ScanTopK(block, request.k, aggregation,
-                                       excluded, deadline, block.num_seeds());
+  Result<TopKResult> result =
+      ScanTopK(block, request.k, aggregation, request.exclude, deadline,
+               block.num_seeds());
   INF2VEC_RETURN_IF_ERROR(result.status());
   if (obs::MetricsEnabled()) topk_latency_us_->Record(NowUs() - start);
   return result;
@@ -486,69 +348,36 @@ Result<double> InfluenceService::ScoreWithBlock(
     const std::optional<Aggregation>& aggregation) const {
   const uint64_t start = NowUs();
   if (obs::MetricsEnabled()) score_requests_->Increment();
-  const auto fail = [this](Status status) -> Status {
-    if (obs::MetricsEnabled()) errors_->Increment();
-    return status;
-  };
 
-  if (candidate >= store().num_users()) {
-    return fail(Status::NotFound("unknown candidate user " +
-                                 std::to_string(candidate)));
-  }
+  const Status candidate_ok = ValidateCandidate(candidate);
+  if (!candidate_ok.ok()) return Fail(candidate_ok);
   const Status block_ok = ValidateBlock(block);
-  if (!block_ok.ok()) return fail(block_ok);
-
-  ScoreScratch scratch;
-  const Aggregation agg = ResolveAggregation(aggregation);
-  double score;
-  {
-    obs::TraceSpan span("kernel_scan", "serve");
-    span.SetAttr("seed_count", static_cast<uint64_t>(block.num_seeds()));
-    if (qstore_ != nullptr) {
-      score = ScoreCandidateQuantized(block, qstore_->Target(candidate).data(),
-                                      qstore_->target_scale(candidate),
-                                      qstore_->target_bias(candidate), agg,
-                                      &scratch);
-    } else {
-      score = ScoreCandidate(block, store().Target(candidate).data(),
-                             store().target_bias(candidate), agg, &scratch);
-    }
-  }
-  if (obs::MetricsEnabled()) score_latency_us_->Record(NowUs() - start);
-  return score;
+  if (!block_ok.ok()) return Fail(block_ok);
+  return ScoreOne(block, candidate, ResolveAggregation(aggregation), start);
 }
 
 Result<BatchScoreResult> InfluenceService::ScoreBatch(
     const BatchScoreRequest& request) const {
   const uint64_t start = NowUs();
   if (obs::MetricsEnabled()) batch_requests_->Increment();
-  const auto fail = [this](Status status) -> Status {
-    if (obs::MetricsEnabled()) errors_->Increment();
-    return status;
-  };
 
   if (request.items.empty()) {
-    return fail(Status::InvalidArgument("batch is empty"));
+    return Fail(Status::InvalidArgument("batch is empty"));
   }
   if (request.items.size() > options_.max_batch) {
-    return fail(Status::InvalidArgument(
+    return Fail(Status::InvalidArgument(
         "batch too large: " + std::to_string(request.items.size()) +
         " > max " + std::to_string(options_.max_batch)));
   }
   // Validate everything up front so errors name the offending item and no
   // partial parallel work runs for a doomed request.
-  const uint32_t num_users = store().num_users();
   for (size_t i = 0; i < request.items.size(); ++i) {
     const BatchItem& item = request.items[i];
-    if (item.candidate >= num_users) {
-      return fail(Status::NotFound(
-          "batch item " + std::to_string(i) + ": unknown candidate user " +
-          std::to_string(item.candidate)));
-    }
-    const Status seeds_ok = ValidateSeeds(item.seeds);
-    if (!seeds_ok.ok()) {
-      return fail(Status(seeds_ok.code(), "batch item " + std::to_string(i) +
-                                              ": " + seeds_ok.message()));
+    Status item_ok = ValidateCandidate(item.candidate);
+    if (item_ok.ok()) item_ok = ValidateSeeds(item.seeds);
+    if (!item_ok.ok()) {
+      return Fail(Status(item_ok.code(), "batch item " + std::to_string(i) +
+                                             ": " + item_ok.message()));
     }
   }
 
@@ -561,7 +390,6 @@ Result<BatchScoreResult> InfluenceService::ScoreBatch(
   std::atomic<bool> expired{false};
 
   const auto score_range = [&](size_t begin, size_t end) {
-    ScoreScratch scratch;
     uint64_t local_hits = 0;
     for (size_t i = begin; i < end; ++i) {
       if ((i - begin) % 64 == 0 && deadline != 0 && NowUs() > deadline) {
@@ -570,20 +398,9 @@ Result<BatchScoreResult> InfluenceService::ScoreBatch(
       }
       const BatchItem& item = request.items[i];
       bool cache_hit = false;
-      if (qstore_ != nullptr) {
-        const std::shared_ptr<const SeedBlock> block =
-            cache_->Get(*qstore_, item.seeds, &cache_hit);
-        result.scores[i] = ScoreCandidateQuantized(
-            *block, qstore_->Target(item.candidate).data(),
-            qstore_->target_scale(item.candidate),
-            qstore_->target_bias(item.candidate), aggregation, &scratch);
-      } else {
-        const std::shared_ptr<const SeedBlock> block =
-            cache_->Get(store(), item.seeds, &cache_hit);
-        result.scores[i] = ScoreCandidate(
-            *block, store().Target(item.candidate).data(),
-            store().target_bias(item.candidate), aggregation, &scratch);
-      }
+      const std::shared_ptr<const SeedBlock> block =
+          cache_->Get(table_, item.seeds, &cache_hit);
+      result.scores[i] = table_.Score(*block, item.candidate, aggregation);
       if (cache_hit) ++local_hits;
     }
     hits.fetch_add(local_hits, std::memory_order_relaxed);
@@ -604,7 +421,7 @@ Result<BatchScoreResult> InfluenceService::ScoreBatch(
 
   if (expired.load(std::memory_order_relaxed)) {
     if (obs::MetricsEnabled()) deadline_exceeded_->Increment();
-    return fail(Status::DeadlineExceeded("batch scoring exceeded deadline"));
+    return Fail(Status::DeadlineExceeded("batch scoring exceeded deadline"));
   }
   result.cache_hits = hits.load(std::memory_order_relaxed);
   if (obs::MetricsEnabled()) {
@@ -619,8 +436,8 @@ Result<BatchScoreResult> InfluenceService::ScoreBatch(
 obs::JsonValue InfluenceService::DescribeJson() const {
   obs::JsonValue json = obs::JsonValue::Object();
   json.Set("model_path", model_path_);
-  json.Set("num_users", store().num_users());
-  json.Set("dim", store().dim());
+  json.Set("num_users", num_users());
+  json.Set("dim", dim());
   json.Set("aggregation", AggregationName(default_aggregation_));
   json.Set("model", metadata().ToJson());
 
@@ -635,11 +452,7 @@ obs::JsonValue InfluenceService::DescribeJson() const {
   serving.Set("scan_block", options_.scan_block);
   serving.Set("quantize", QuantModeName(quant_mode()));
   serving.Set("kernel_isa", kernels::IsaName(kernels::ActiveIsa()));
-  serving.Set("embedding_table_bytes", artifact_->store.ApproxBytes());
-  if (qstore_ != nullptr) {
-    serving.Set("quantized_table_bytes",
-                static_cast<uint64_t>(qstore_->TableBytes()));
-  }
+  serving.Set(std::string(table_.name()) + "_bytes", table_.bytes());
   json.Set("serving", std::move(serving));
 
   obs::JsonValue cache = obs::JsonValue::Object();

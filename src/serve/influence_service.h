@@ -15,26 +15,12 @@
 #include "obs/memory.h"
 #include "obs/metrics.h"
 #include "serve/seed_cache.h"
+#include "serve/serving_table.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace inf2vec {
 namespace serve {
-
-/// Numeric mode of the serving table. kInt8 serves from a
-/// QuantizedEmbeddingStore — loaded from the artifact's quantized section
-/// when present, else quantized from the fp64 table at load time — for
-/// 8x smaller scan footprint at a small recall cost (see docs/SERVING.md).
-enum class QuantMode {
-  kNone = 0,  // fp64, bit-identical to EmbeddingPredictor.
-  kInt8 = 1,
-};
-
-/// "none" / "int8".
-const char* QuantModeName(QuantMode mode);
-
-/// Parses "none" or "int8" (the CLI spelling). Returns false otherwise.
-bool ParseQuantModeName(const std::string& name, QuantMode* mode);
 
 /// Serving knobs; the defaults suit an interactive loopback deployment.
 struct ServiceOptions {
@@ -93,6 +79,18 @@ struct TopKEntry {
   UserId user = 0;
   double score = 0.0;
 };
+
+/// Ranking order of every top-k result, single node and merged fleet
+/// alike: descending score, ties broken by ascending user id.
+bool BetterThan(const TopKEntry& a, const TopKEntry& b);
+
+/// Request checks the single node and the shard coordinator share, so
+/// both planes refuse a bad request with the same typed error: a seed set
+/// must be non-empty, at most `max_seeds` long and name only ids below
+/// `num_users` (NotFound otherwise); k must lie in [1, max_k].
+Status ValidateSeedSet(const std::vector<UserId>& seeds, uint32_t max_seeds,
+                       uint32_t num_users);
+Status ValidateK(uint32_t k, uint32_t max_k);
 
 struct TopKResult {
   /// Descending score; ties broken by ascending user id.
@@ -162,9 +160,9 @@ class InfluenceService {
 
   InfluenceService(InfluenceService&&) = default;
 
-  /// Touches every parameter once so first queries do not pay cold page
-  /// faults; returns the table checksum it computed (and publishes model
-  /// gauges as a side effect).
+  /// Touches every row of the serving table once so first queries do not
+  /// pay cold page faults; returns the table checksum it computed (and
+  /// publishes model gauges as a side effect).
   double Warm() const;
 
   /// Eq. 7: F({x(u, candidate) : u in seeds}); bit-identical to
@@ -183,8 +181,8 @@ class InfluenceService {
   /// mode). Runs the exact same scan loop as TopK() — same kernels, same
   /// comparator, same deadline blocking — so local entries are
   /// bit-identical to the corresponding slice of a single-node scan when
-  /// the block's bytes match GatherSeedBlock's output. The block's
-  /// quantized flag must match the service's quant mode.
+  /// the block's bytes match GatherSeedBlock's output. The block's mode
+  /// and dim must match the serving table's.
   Result<TopKResult> TopKWithBlock(const SeedBlock& block,
                                    const BlockTopKRequest& request) const;
 
@@ -194,15 +192,11 @@ class InfluenceService {
       const SeedBlock& block, UserId candidate,
       const std::optional<Aggregation>& aggregation) const;
 
-  const EmbeddingStore& store() const { return artifact_->store; }
-  const ModelMetadata& metadata() const { return artifact_->metadata; }
-  /// Non-null when serving in int8 mode.
-  const QuantizedEmbeddingStore* quantized_store() const {
-    return qstore_.get();
-  }
-  QuantMode quant_mode() const {
-    return qstore_ == nullptr ? QuantMode::kNone : QuantMode::kInt8;
-  }
+  const ServingTable& table() const { return table_; }
+  uint32_t num_users() const { return table_.num_users(); }
+  uint32_t dim() const { return table_.dim(); }
+  const ModelMetadata& metadata() const { return metadata_; }
+  QuantMode quant_mode() const { return table_.mode(); }
   Aggregation default_aggregation() const { return default_aggregation_; }
   const std::string& model_path() const { return model_path_; }
 
@@ -212,50 +206,66 @@ class InfluenceService {
   /// cache statistics.
   obs::JsonValue DescribeJson() const;
 
-  /// Bytes this service accounts into the memory registry: the fp64
-  /// table plus, in int8 mode, the quantized serving table. What a
-  /// hot-swap preflight must assume a second resident copy costs.
-  uint64_t AccountedBytes() const {
-    return table_bytes_.bytes() + qtable_bytes_.bytes();
-  }
+  /// Bytes this service accounts into the memory registry: its one
+  /// serving table.
+  uint64_t AccountedBytes() const { return table_bytes_.bytes(); }
+
+  /// Bytes resident while this model loaded (ServingTable::
+  /// load_peak_bytes): what a hot-swap preflight must assume loading the
+  /// next generation costs. Above AccountedBytes() in int8 mode, where
+  /// every load reads the fp64 table before freeing it.
+  uint64_t LoadPeakBytes() const { return table_.load_peak_bytes(); }
 
  private:
   InfluenceService(ModelArtifact artifact, ServiceOptions options,
                    std::string model_path, obs::MetricsRegistry* registry);
 
   uint64_t NowUs() const;
+  /// Counts a failed request and passes its status through.
+  Status Fail(Status status) const;
   /// Effective deadline in absolute us-since-start terms; 0 = none.
   uint64_t ResolveDeadline(uint64_t request_deadline_us,
                            uint64_t start_us) const;
-  Status ValidateSeeds(const std::vector<UserId>& seeds) const;
+  Status ValidateSeeds(const std::vector<UserId>& seeds) const {
+    return ValidateSeedSet(seeds, options_.max_seeds, num_users());
+  }
+  Status ValidateCandidate(UserId candidate) const;
   Aggregation ResolveAggregation(
       const std::optional<Aggregation>& requested) const;
   /// A transported seed block must look exactly like one this service
-  /// would gather itself (shape + quantization mode).
+  /// would gather itself (seed count within limits, then the table's
+  /// shape and mode check).
   Status ValidateBlock(const SeedBlock& block) const;
+  /// The single-candidate score path behind ScoreActivation and
+  /// ScoreWithBlock: Eq. 7 under a kernel_scan span, then the latency
+  /// record for a request that started at `start`.
+  double ScoreOne(const SeedBlock& block, UserId candidate,
+                  Aggregation aggregation, uint64_t start) const;
   /// The shared bounded-heap scan core behind TopK and TopKWithBlock.
-  /// `excluded` must be sorted and unique; `deadline` is absolute (0 =
+  /// `excluded` need not be sorted or unique; `deadline` is absolute (0 =
   /// none); increments error/deadline metrics on failure.
   Result<TopKResult> ScanTopK(const SeedBlock& block, uint32_t k,
                               Aggregation aggregation,
-                              const std::vector<UserId>& excluded,
+                              std::vector<UserId> excluded,
                               uint64_t deadline, uint64_t num_seeds) const;
+  /// The seed block for `seeds` from the cache (gathered on a miss) under
+  /// a cache_lookup span, counting the hit or miss.
+  std::shared_ptr<const SeedBlock> LookupBlock(
+      const std::vector<UserId>& seeds, bool* cache_hit) const;
 
-  std::unique_ptr<ModelArtifact> artifact_;  // Stable address for spans.
-  /// int8 serving table; null in fp64 mode. Owned here (moved out of the
-  /// artifact's section or built at load), immutable afterwards.
-  std::unique_ptr<QuantizedEmbeddingStore> qstore_;
   ServiceOptions options_;
+  ModelMetadata metadata_;
+  ServingTable table_;
   std::string model_path_;
   Aggregation default_aggregation_ = Aggregation::kAve;
   std::unique_ptr<SeedBlockCache> cache_;
   std::unique_ptr<ThreadPool> batch_pool_;          // Null when 1 thread.
   std::unique_ptr<std::mutex> batch_mu_;            // Guards pool posting.
-  /// Byte reservations in the memory plane; released on destruction, so
-  /// a retired generation's tables vanish from /memz when the last
-  /// shared_ptr drops.
-  obs::ScopedBytes table_bytes_;   // serve.embedding_table.
-  obs::ScopedBytes qtable_bytes_;  // serve.quantized_table.
+  /// The table's byte reservation under its mode's gauge
+  /// (serve.embedding_table or serve.quantized_table); released on
+  /// destruction, so a retired generation's table vanishes from /memz
+  /// when the last shared_ptr drops.
+  obs::ScopedBytes table_bytes_;
 
   // Metric handles (registry-owned; valid for the registry's lifetime).
   obs::Counter* score_requests_;

@@ -37,11 +37,12 @@ Status ModelSwapper::Reload() {
   // Budget preflight: while the new model loads and warms, BOTH
   // generations are resident. Refuse the swap when that double-resident
   // peak would blow the serving budget — keeping the old model serving
-  // beats OOM-killing the process mid-swap. The current model's table
-  // bytes approximate the incoming one (same artifact family); a first
-  // load has nothing resident and nothing to preflight.
+  // beats OOM-killing the process mid-swap. The current model's load
+  // peak approximates the incoming one (same artifact family); in int8
+  // mode it counts the fp64 table every load reads before freeing it. A
+  // first load has nothing resident and nothing to preflight.
   if (const auto current = Acquire(); current != nullptr) {
-    const uint64_t incoming = current->service.AccountedBytes();
+    const uint64_t incoming = current->service.LoadPeakBytes();
     if (obs::OverMemoryBudget(incoming)) {
       reload_errors_->Increment();
       return Status::FailedPrecondition(

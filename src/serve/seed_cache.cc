@@ -1,7 +1,5 @@
 #include "serve/seed_cache.h"
 
-#include <cstring>
-
 #include "obs/trace.h"
 
 namespace inf2vec {
@@ -12,10 +10,10 @@ namespace {
 /// exactly when the cache missed, so hit/miss is legible from the phase
 /// breakdown alone.
 std::shared_ptr<const SeedBlock> TracedGather(
-    const std::function<SeedBlock()>& gather, size_t seed_count) {
+    const ServingTable& table, const std::vector<UserId>& seeds) {
   obs::TraceSpan span("seed_gather", "serve");
-  span.SetAttr("seed_count", static_cast<uint64_t>(seed_count));
-  return std::make_shared<const SeedBlock>(gather());
+  span.SetAttr("seed_count", static_cast<uint64_t>(seeds.size()));
+  return std::make_shared<const SeedBlock>(GatherSeedBlock(table, seeds));
 }
 
 /// Exact binary key: the id sequence verbatim. Cheap to build and free of
@@ -53,66 +51,12 @@ void SeedBlockCache::AccountLocked(int64_t delta) {
   bytes_metric_->Set(static_cast<double>(bytes_));
 }
 
-SeedBlock GatherSeedBlock(const EmbeddingStore& store,
-                          const std::vector<UserId>& seeds) {
-  SeedBlock block;
-  block.dim = store.dim();
-  block.stride = store.row_stride();
-  block.seeds = seeds;
-  block.sources.resize(seeds.size() * static_cast<size_t>(block.stride), 0.0);
-  block.source_biases.resize(seeds.size());
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    const std::span<const double> row = store.Source(seeds[i]);
-    std::memcpy(
-        block.sources.data() + i * static_cast<size_t>(block.stride),
-        row.data(), sizeof(double) * block.dim);
-    block.source_biases[i] = store.source_bias(seeds[i]);
-  }
-  return block;
-}
-
-SeedBlock GatherSeedBlock(const QuantizedEmbeddingStore& store,
-                          const std::vector<UserId>& seeds) {
-  SeedBlock block;
-  block.quantized = true;
-  block.dim = store.dim();
-  block.q_stride = store.row_stride();
-  block.seeds = seeds;
-  block.q_sources.resize(seeds.size() * static_cast<size_t>(block.q_stride),
-                         0);
-  block.q_scales.resize(seeds.size());
-  block.q_biases.resize(seeds.size());
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    const std::span<const int8_t> row = store.Source(seeds[i]);
-    std::memcpy(
-        block.q_sources.data() + i * static_cast<size_t>(block.q_stride),
-        row.data(), block.dim);
-    block.q_scales[i] = store.source_scale(seeds[i]);
-    block.q_biases[i] = store.source_bias(seeds[i]);
-  }
-  return block;
-}
-
 std::shared_ptr<const SeedBlock> SeedBlockCache::Get(
-    const EmbeddingStore& store, const std::vector<UserId>& seeds,
+    const ServingTable& table, const std::vector<UserId>& seeds,
     bool* cache_hit) {
-  return GetImpl(
-      seeds, [&] { return GatherSeedBlock(store, seeds); }, cache_hit);
-}
-
-std::shared_ptr<const SeedBlock> SeedBlockCache::Get(
-    const QuantizedEmbeddingStore& store, const std::vector<UserId>& seeds,
-    bool* cache_hit) {
-  return GetImpl(
-      seeds, [&] { return GatherSeedBlock(store, seeds); }, cache_hit);
-}
-
-std::shared_ptr<const SeedBlock> SeedBlockCache::GetImpl(
-    const std::vector<UserId>& seeds,
-    const std::function<SeedBlock()>& gather, bool* cache_hit) {
   if (capacity_ == 0) {
     if (cache_hit != nullptr) *cache_hit = false;
-    std::shared_ptr<const SeedBlock> block = TracedGather(gather, seeds.size());
+    std::shared_ptr<const SeedBlock> block = TracedGather(table, seeds);
     std::lock_guard<std::mutex> lock(mu_);
     ++misses_;
     return block;
@@ -133,7 +77,7 @@ std::shared_ptr<const SeedBlock> SeedBlockCache::GetImpl(
   // Gather outside the lock: misses on distinct keys proceed in parallel
   // (two racing misses on the same key both insert; last one wins, both
   // blocks are identical).
-  std::shared_ptr<const SeedBlock> block = TracedGather(gather, seeds.size());
+  std::shared_ptr<const SeedBlock> block = TracedGather(table, seeds);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++misses_;

@@ -2,7 +2,6 @@
 #define INF2VEC_SERVE_SEED_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -11,76 +10,20 @@
 #include <utility>
 #include <vector>
 
-#include "embedding/embedding_store.h"
-#include "embedding/quantized_store.h"
 #include "graph/social_graph.h"
-#include "kernels/aligned.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
+#include "serve/serving_table.h"
 
 namespace inf2vec {
 namespace serve {
-
-/// The per-query reusable part of Eq. 7 for one activated seed set: the
-/// seed users' source rows gathered into one contiguous block (so the
-/// top-k scan streams seed rows from L1/L2 instead of hopping across the
-/// full S matrix) plus their influence-ability biases. Arithmetic over
-/// the block is bit-identical to calling EmbeddingStore::Score per seed —
-/// gathering copies rows, it does not reassociate any sum.
-///
-/// Rows keep the store's 64-byte-aligned padded pitch (`stride` doubles
-/// for fp64, `q_stride` bytes for int8) so kernels::SeedScan streams
-/// cache-line-aligned rows. A block is either fp64 or int8 (`quantized`),
-/// matching the serving mode of the service that gathered it.
-struct SeedBlock {
-  kernels::AlignedVector<double> sources;  // num_seeds x stride (fp64 mode).
-  std::vector<double> source_biases;       // num_seeds (fp64 mode).
-  std::vector<UserId> seeds;               // The gathered ids, query order.
-  uint32_t dim = 0;
-  uint32_t stride = 0;  // fp64 row pitch in doubles.
-
-  // int8 serving mode: quantized codes plus per-seed fp32 scale/bias.
-  kernels::AlignedVector<int8_t> q_sources;  // num_seeds x q_stride.
-  std::vector<float> q_scales;               // num_seeds.
-  std::vector<float> q_biases;               // num_seeds.
-  uint32_t q_stride = 0;  // int8 row pitch in bytes.
-  bool quantized = false;
-
-  size_t num_seeds() const { return seeds.size(); }
-  const double* source_row(size_t i) const {
-    return sources.data() + i * static_cast<size_t>(stride);
-  }
-  const int8_t* q_source_row(size_t i) const {
-    return q_sources.data() + i * static_cast<size_t>(q_stride);
-  }
-
-  /// Heap bytes this block holds. Capacity-based, so an fp64 block costs
-  /// num_seeds * stride * 8 where the int8 block costs num_seeds *
-  /// q_stride — the 8x stride gap is visible in cache accounting.
-  uint64_t ApproxBytes() const {
-    return sources.capacity() * sizeof(double) +
-           source_biases.capacity() * sizeof(double) +
-           seeds.capacity() * sizeof(UserId) + q_sources.capacity() +
-           q_scales.capacity() * sizeof(float) +
-           q_biases.capacity() * sizeof(float);
-  }
-};
-
-/// Builds an fp64 block by gathering from `store`. Callers validate ids.
-SeedBlock GatherSeedBlock(const EmbeddingStore& store,
-                          const std::vector<UserId>& seeds);
-
-/// Builds an int8 block from a quantized serving table.
-SeedBlock GatherSeedBlock(const QuantizedEmbeddingStore& store,
-                          const std::vector<UserId>& seeds);
 
 /// Thread-safe LRU cache of SeedBlocks keyed by the exact seed-id
 /// sequence (order matters: the Latest aggregator is order-sensitive, so
 /// two orderings are distinct queries). Values are shared_ptrs so a hit
 /// stays valid after eviction while a reader still holds it. A cache
-/// instance belongs to one service and therefore one serving mode — fp64
-/// and int8 blocks never share a cache, so the key does not encode the
-/// mode.
+/// instance belongs to one service and therefore one serving table, so
+/// the key does not encode the table's mode.
 class SeedBlockCache {
  public:
   /// `capacity` in entries; 0 disables caching (every Get misses and
@@ -91,14 +34,9 @@ class SeedBlockCache {
   SeedBlockCache(const SeedBlockCache&) = delete;
   SeedBlockCache& operator=(const SeedBlockCache&) = delete;
 
-  /// Returns the cached block for `seeds`, gathering and inserting on
-  /// miss. `*cache_hit` (optional) reports which path ran.
-  std::shared_ptr<const SeedBlock> Get(const EmbeddingStore& store,
-                                       const std::vector<UserId>& seeds,
-                                       bool* cache_hit);
-
-  /// Same, gathering int8 rows from the quantized table on miss.
-  std::shared_ptr<const SeedBlock> Get(const QuantizedEmbeddingStore& store,
+  /// Returns the cached block for `seeds`, gathering from `table` and
+  /// inserting on miss. `*cache_hit` (optional) reports which path ran.
+  std::shared_ptr<const SeedBlock> Get(const ServingTable& table,
                                        const std::vector<UserId>& seeds,
                                        bool* cache_hit);
 
@@ -117,10 +55,6 @@ class SeedBlockCache {
 
  private:
   using Entry = std::pair<std::string, std::shared_ptr<const SeedBlock>>;
-
-  std::shared_ptr<const SeedBlock> GetImpl(
-      const std::vector<UserId>& seeds,
-      const std::function<SeedBlock()>& gather, bool* cache_hit);
 
   /// Bytes charged for one retained entry (key + block).
   static uint64_t EntryBytes(const Entry& entry);

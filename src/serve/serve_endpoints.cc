@@ -21,97 +21,9 @@ using obs::HttpRequest;
 using obs::HttpResponse;
 using obs::JsonValue;
 
-/// Query-path Status in the process-wide error envelope (obs::ErrorJson):
-/// the machine code is the StatusCodeName spelling, the HTTP code the
-/// HttpCodeFor mapping.
-HttpResponse ErrorResponse(const Status& status) {
-  return obs::ErrorJson(HttpCodeFor(status), StatusCodeName(status.code()),
-                        status.message());
-}
-
-/// "1,5,9" -> {1, 5, 9}; rejects empties and non-numeric fields. `key`
-/// names the query parameter in the error so 400s always point at the
-/// offending input.
-Result<std::vector<UserId>> ParseSeedList(const HttpRequest& request,
-                                          const std::string& key) {
-  if (!request.HasQuery(key)) {
-    return Status::InvalidArgument("missing required parameter: " + key);
-  }
-  const std::string csv = request.QueryOr(key, "");
-  std::vector<UserId> seeds;
-  for (std::string_view field : SplitString(csv, ',')) {
-    uint32_t id = 0;
-    const Status parsed = ParseUint32(TrimString(field), &id);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("bad " + key + " entry '" +
-                                     std::string(field) +
-                                     "': " + parsed.message());
-    }
-    seeds.push_back(id);
-  }
-  return seeds;
-}
-
-/// Required uint parameter; 400s name `key`.
-Status ParseRequiredUint32(const HttpRequest& request, const std::string& key,
-                           uint32_t* out) {
-  if (!request.HasQuery(key)) {
-    return Status::InvalidArgument("missing required parameter: " + key);
-  }
-  const std::string raw = request.QueryOr(key, "");
-  const Status parsed = ParseUint32(raw, out);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("bad " + key + " '" + raw + "'");
-  }
-  return Status::OK();
-}
-
-/// Optional uint parameter; missing keeps `*out` unchanged.
-template <typename T>
-Status ParseOptionalUint(const HttpRequest& request, const std::string& key,
-                         T* out) {
-  if (!request.HasQuery(key)) return Status::OK();
-  const std::string raw = request.QueryOr(key, "");
-  int64_t value = 0;
-  const Status parsed = ParseInt64(raw, &value);
-  if (!parsed.ok() || value < 0) {
-    return Status::InvalidArgument("bad " + key + " '" + raw + "'");
-  }
-  *out = static_cast<T>(value);
-  return Status::OK();
-}
-
-Status ParseOptionalAggregation(const HttpRequest& request,
-                                std::optional<Aggregation>* out) {
-  if (!request.HasQuery("aggregation")) return Status::OK();
-  const std::string name = request.QueryOr("aggregation", "");
-  Result<Aggregation> parsed = ParseAggregation(name);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("bad aggregation '" + name +
-                                   "': " + parsed.status().message());
-  }
-  *out = parsed.value();
-  return Status::OK();
-}
-
 /// Generation stamp for hot-swap deployments; static single-model serving
 /// passes nullopt and emits no field.
 using GenerationTag = std::optional<uint64_t>;
-
-/// The parameters /score and /topk share — required `seeds`, optional
-/// `aggregation` and `deadline_us` — parsed once, identically, under a
-/// "parse" trace span. Every failure names the offending parameter.
-template <typename RequestT>
-Status ParseCommonQuery(const HttpRequest& request, RequestT* query) {
-  Result<std::vector<UserId>> seeds = ParseSeedList(request, "seeds");
-  if (!seeds.ok()) return seeds.status();
-  query->seeds = std::move(seeds).value();
-  INF2VEC_RETURN_IF_ERROR(
-      ParseOptionalAggregation(request, &query->aggregation));
-  INF2VEC_RETURN_IF_ERROR(
-      ParseOptionalUint(request, "deadline_us", &query->deadline_us));
-  return Status::OK();
-}
 
 /// Stamps the request-level attributes (seed-set size, kernel ISA, quant
 /// mode, generation) onto the enclosing request's root span — a no-op
@@ -270,11 +182,8 @@ HttpResponse HandleTopK(const InfluenceService& service,
   TopKRequest query;
   {
     obs::TraceSpan span("parse", "serve");
-    const Status common = ParseCommonQuery(request, &query);
-    if (!common.ok()) return ErrorResponse(common);
-    const Status k = ParseOptionalUint(request, "k", &query.k);
-    if (!k.ok()) return ErrorResponse(k);
-    query.include_seeds = request.QueryOr("include_seeds", "0") == "1";
+    const Status parsed = ParseTopKQuery(request, &query);
+    if (!parsed.ok()) return ErrorResponse(parsed);
   }
   AnnotateRootSpan(service, generation, query.seeds.size());
 
@@ -292,14 +201,7 @@ HttpResponse HandleTopK(const InfluenceService& service,
   body.Set("scanned", result.value().scanned);
   body.Set("cache_hit", result.value().cache_hit);
   body.Set("coalesced", result.value().coalesced);
-  JsonValue entries = JsonValue::Array();
-  for (const TopKEntry& entry : result.value().entries) {
-    JsonValue row = JsonValue::Object();
-    row.Set("user", entry.user);
-    row.Set("score", entry.score);
-    entries.Append(std::move(row));
-  }
-  body.Set("results", std::move(entries));
+  body.Set("results", TopKEntriesJson(result.value().entries));
   SetGeneration(&body, generation);
   return HttpResponse::Json(200, body.Dump(0));
 }
@@ -332,7 +234,106 @@ bool ShedOverBudget(HttpResponse* response) {
   return true;
 }
 
+/// The model one request is answered by, pinned for the whole request:
+/// `hold` keeps a hot-swapped generation alive until the response is
+/// built; `service` is null only before a swapper's first load.
+struct PinnedModel {
+  std::shared_ptr<const void> hold;
+  const InfluenceService* service = nullptr;
+  GenerationTag generation;
+};
+
+/// GET /score, POST /score and GET /topk over whatever model `pin`
+/// resolves per request; each sheds over the memory budget first.
+template <typename PinFn>
+void RegisterQueryRoutes(obs::StatsServer* server, PinFn pin) {
+  const auto route = [server, pin](const char* method, const char* path,
+                                   auto handle) {
+    server->Route(method, path, [pin, handle](const HttpRequest& request) {
+      HttpResponse shed;
+      if (ShedOverBudget(&shed)) return shed;
+      const PinnedModel model = pin();
+      if (model.service == nullptr) return ModelGoneResponse();
+      return handle(*model.service, model.generation, request);
+    });
+  };
+  route("GET", "/score", HandleScore);
+  route("POST", "/score", HandleScoreBatch);
+  // The generation keys the coalescer, so requests racing a hot swap
+  // never share a scan across models.
+  auto batcher = std::make_shared<TopKBatcher>();
+  route("GET", "/topk",
+        [batcher](const InfluenceService& service,
+                  const GenerationTag& generation,
+                  const HttpRequest& request) {
+          return HandleTopK(service, generation, batcher.get(), request);
+        });
+}
+
 }  // namespace
+
+JsonValue TopKEntriesJson(const std::vector<TopKEntry>& entries) {
+  JsonValue array = JsonValue::Array();
+  for (const TopKEntry& entry : entries) {
+    JsonValue row = JsonValue::Object();
+    row.Set("user", entry.user);
+    row.Set("score", entry.score);
+    array.Append(std::move(row));
+  }
+  return array;
+}
+
+HttpResponse ErrorResponse(const Status& status) {
+  return obs::ErrorJson(HttpCodeFor(status), StatusCodeName(status.code()),
+                        status.message());
+}
+
+Result<std::vector<UserId>> ParseSeedList(const HttpRequest& request,
+                                          const std::string& key) {
+  if (!request.HasQuery(key)) {
+    return Status::InvalidArgument("missing required parameter: " + key);
+  }
+  // Named local: the split fields are views into it.
+  const std::string csv = request.QueryOr(key, "");
+  std::vector<UserId> seeds;
+  for (std::string_view field : SplitString(csv, ',')) {
+    uint32_t id = 0;
+    const Status parsed = ParseUint32(TrimString(field), &id);
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("bad " + key + " entry '" +
+                                     std::string(field) +
+                                     "': " + parsed.message());
+    }
+    seeds.push_back(id);
+  }
+  return seeds;
+}
+
+Status ParseRequiredUint32(const HttpRequest& request, const std::string& key,
+                           uint32_t* out) {
+  if (!request.HasQuery(key)) {
+    return Status::InvalidArgument("missing required parameter: " + key);
+  }
+  const std::string raw = request.QueryOr(key, "");
+  const Status parsed = ParseUint32(raw, out);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("bad " + key + " '" + raw + "'");
+  }
+  return Status::OK();
+}
+
+Status ParseOptionalAggregation(const HttpRequest& request,
+                                std::optional<Aggregation>* out) {
+  if (!request.HasQuery("aggregation")) return Status::OK();
+  const std::string name = request.QueryOr("aggregation", "");
+  Result<Aggregation> parsed = ParseAggregation(name);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("bad aggregation '" + name +
+                                   "': " + parsed.status().message());
+  }
+  *out = parsed.value();
+  return Status::OK();
+}
 
 int HttpCodeFor(const Status& status) {
   switch (status.code()) {
@@ -351,21 +352,8 @@ int HttpCodeFor(const Status& status) {
 
 void RegisterServeEndpoints(obs::StatsServer* server,
                             const InfluenceService* service) {
-  auto batcher = std::make_shared<TopKBatcher>();
-  server->Route("GET", "/score", [service](const HttpRequest& request) {
-    HttpResponse shed;
-    if (ShedOverBudget(&shed)) return shed;
-    return HandleScore(*service, std::nullopt, request);
-  });
-  server->Route("POST", "/score", [service](const HttpRequest& request) {
-    HttpResponse shed;
-    if (ShedOverBudget(&shed)) return shed;
-    return HandleScoreBatch(*service, std::nullopt, request);
-  });
-  server->Route("GET", "/topk", [service, batcher](const HttpRequest& request) {
-    HttpResponse shed;
-    if (ShedOverBudget(&shed)) return shed;
-    return HandleTopK(*service, std::nullopt, batcher.get(), request);
+  RegisterQueryRoutes(server, [service] {
+    return PinnedModel{nullptr, service, std::nullopt};
   });
   server->Route("GET", "/modelz", [service](const HttpRequest&) {
     return HttpResponse::Json(200, service->DescribeJson().Dump(2));
@@ -373,30 +361,10 @@ void RegisterServeEndpoints(obs::StatsServer* server,
 }
 
 void RegisterServeEndpoints(obs::StatsServer* server, ModelSwapper* swapper) {
-  auto batcher = std::make_shared<TopKBatcher>();
-  server->Route("GET", "/score", [swapper](const HttpRequest& request) {
-    HttpResponse shed;
-    if (ShedOverBudget(&shed)) return shed;
-    const auto model = swapper->Acquire();
-    if (model == nullptr) return ModelGoneResponse();
-    return HandleScore(model->service, model->generation, request);
-  });
-  server->Route("POST", "/score", [swapper](const HttpRequest& request) {
-    HttpResponse shed;
-    if (ShedOverBudget(&shed)) return shed;
-    const auto model = swapper->Acquire();
-    if (model == nullptr) return ModelGoneResponse();
-    return HandleScoreBatch(model->service, model->generation, request);
-  });
-  server->Route("GET", "/topk", [swapper, batcher](const HttpRequest& request) {
-    HttpResponse shed;
-    if (ShedOverBudget(&shed)) return shed;
-    const auto model = swapper->Acquire();
-    if (model == nullptr) return ModelGoneResponse();
-    // The generation keys the coalescer, so requests racing a hot swap
-    // never share a scan across models.
-    return HandleTopK(model->service, model->generation, batcher.get(),
-                      request);
+  RegisterQueryRoutes(server, [swapper] {
+    std::shared_ptr<const VersionedService> model = swapper->Acquire();
+    if (model == nullptr) return PinnedModel{};
+    return PinnedModel{model, &model->service, model->generation};
   });
   server->Route("GET", "/modelz", [swapper](const HttpRequest&) {
     const auto model = swapper->Acquire();

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <thread>
 #include <utility>
 
-#include "kernels/aligned.h"
 #include "obs/trace.h"
-#include "serve/seed_cache.h"
 #include "serve/serve_endpoints.h"
 #include "shard/shard_service.h"
 #include "shard/wire.h"
@@ -22,20 +19,14 @@ namespace {
 using obs::HttpRequest;
 using obs::HttpResponse;
 using obs::JsonValue;
+using serve::BetterThan;
+using serve::ErrorResponse;
 
 uint64_t NowMs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Same ranking order as InfluenceService's scan: descending score,
-/// ascending (globally unique) user id on ties — a total order, so the
-/// merged sort is deterministic and equal to the single-node ranking.
-bool BetterThan(const serve::TopKEntry& a, const serve::TopKEntry& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.user < b.user;
 }
 
 /// Collects spans completed on a fan-out thread so they can be forwarded
@@ -60,9 +51,23 @@ class SpanCapture : public obs::TraceSink {
   std::vector<obs::TraceEvent> events_;
 };
 
-/// After all fan-out threads joined: forward their captured spans into
-/// the current (request) thread's sink, as children of the active span.
-void ForwardCaptures(std::vector<SpanCapture>& captures) {
+/// Runs `call(i)` for every i in [0, n) on its own thread, joins them,
+/// then forwards the spans each recorded into the current (request)
+/// thread's sink as children of the active span.
+template <typename CallFn>
+void FanOut(size_t n, const CallFn& call) {
+  std::vector<SpanCapture> captures(n);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      threads.emplace_back([&captures, &call, i]() {
+        obs::ScopedTraceSink sink_guard(&captures[i]);
+        call(i);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
   obs::TraceSink* sink = obs::ThreadTraceSink();
   if (sink == nullptr) return;
   obs::TraceSpan* current = obs::TraceSpan::Current();
@@ -70,6 +75,14 @@ void ForwardCaptures(std::vector<SpanCapture>& captures) {
   for (SpanCapture& capture : captures) {
     capture.ForwardTo(sink, parent_id);
   }
+}
+
+/// Shared fields of every degraded / partial body.
+void SetDegradedFields(JsonValue* body, const CoordTopKResult& result) {
+  body->Set("degraded", result.degraded);
+  JsonValue missing = JsonValue::Array();
+  for (uint32_t index : result.shards_missing) missing.Append(index);
+  body->Set("shards_missing", std::move(missing));
 }
 
 Status ParseHostPort(const std::string& address, std::string* host,
@@ -142,9 +155,18 @@ Result<ShardCoordinator> ShardCoordinator::Connect(
     const JsonValue* hash = json.Find("model_hash");
     const JsonValue* dim = json.Find("dim");
     const JsonValue* quantize = json.Find("quantize");
-    if (index == nullptr || num == nullptr || begin == nullptr ||
-        end == nullptr || total == nullptr || hash == nullptr ||
-        dim == nullptr || quantize == nullptr) {
+    // Kind-check before reading: JsonValue::AsInt/AsString abort on the
+    // wrong kind, and a backend's answer is outside input.
+    const auto is = [](const JsonValue* v, JsonValue::Kind kind) {
+      return v != nullptr && v->kind() == kind;
+    };
+    constexpr JsonValue::Kind kInt = JsonValue::Kind::kInt;
+    constexpr JsonValue::Kind kString = JsonValue::Kind::kString;
+    serve::QuantMode backend_mode = serve::QuantMode::kNone;
+    if (!is(index, kInt) || !is(num, kInt) || !is(begin, kInt) ||
+        !is(end, kInt) || !is(total, kInt) || !is(dim, kInt) ||
+        !is(hash, kString) || !is(quantize, kString) ||
+        !serve::ParseQuantModeName(quantize->AsString(), &backend_mode)) {
       return Status::Internal("incomplete /shardz from " + address);
     }
     backend->shard_index = static_cast<uint32_t>(index->AsInt());
@@ -153,11 +175,10 @@ Result<ShardCoordinator> ShardCoordinator::Connect(
 
     const uint32_t backend_total = static_cast<uint32_t>(total->AsInt());
     const uint32_t backend_dim = static_cast<uint32_t>(dim->AsInt());
-    const bool backend_quantized = quantize->AsString() == "int8";
     if (coordinator.backends_.empty()) {
       coordinator.total_users_ = backend_total;
       coordinator.dim_ = backend_dim;
-      coordinator.quantized_ = backend_quantized;
+      coordinator.mode_ = backend_mode;
       coordinator.model_hash_ = hash->AsString();
     } else if (coordinator.model_hash_ != hash->AsString()) {
       return Status::FailedPrecondition(StrFormat(
@@ -166,7 +187,7 @@ Result<ShardCoordinator> ShardCoordinator::Connect(
           coordinator.model_hash_.c_str()));
     } else if (coordinator.total_users_ != backend_total ||
                coordinator.dim_ != backend_dim ||
-               coordinator.quantized_ != backend_quantized) {
+               coordinator.mode_ != backend_mode) {
       return Status::FailedPrecondition(
           "shard " + address +
           " disagrees on total_users/dim/quantize with its peers");
@@ -297,25 +318,12 @@ const ShardCoordinator::Backend& ShardCoordinator::OwnerOf(
   return *backends_.back();
 }
 
-Status ShardCoordinator::ValidateSeeds(
-    const std::vector<UserId>& seeds) const {
-  if (seeds.empty()) {
-    return Status::InvalidArgument(
-        "seed set is empty: at least one activated influencer is required");
-  }
-  if (seeds.size() > options_.max_seeds) {
-    return Status::InvalidArgument(
-        "seed set too large: " + std::to_string(seeds.size()) + " > max " +
-        std::to_string(options_.max_seeds));
-  }
-  for (UserId u : seeds) {
-    if (u >= total_users_) {
-      return Status::NotFound("unknown seed user " + std::to_string(u) +
-                              " (model has " + std::to_string(total_users_) +
-                              " users)");
-    }
-  }
-  return Status::OK();
+uint64_t ShardCoordinator::CallDeadlineMs(uint64_t deadline_us) const {
+  // The configured shard deadline, clipped to the request's own budget
+  // when one was supplied.
+  if (deadline_us == 0) return options_.shard_deadline_ms;
+  return std::min<uint64_t>(options_.shard_deadline_ms,
+                            std::max<uint64_t>(1, deadline_us / 1000));
 }
 
 Result<serve::SeedBlock> ShardCoordinator::GatherBlock(
@@ -346,49 +354,19 @@ Result<serve::SeedBlock> ShardCoordinator::GatherBlock(
     }
   }
 
-  std::vector<SpanCapture> captures(fetches.size());
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(fetches.size());
-    for (size_t i = 0; i < fetches.size(); ++i) {
-      threads.emplace_back([this, &seeds, &fetches, &captures, deadline_ms,
-                            i]() {
-        obs::ScopedTraceSink sink_guard(&captures[i]);
-        OwnerFetch& fetch = fetches[i];
-        JsonValue body = JsonValue::Object();
-        JsonValue ids = JsonValue::Array();
-        for (size_t position : *fetch.positions) {
-          ids.Append(seeds[position]);
-        }
-        body.Set("seeds", std::move(ids));
-        fetch.response =
-            CallBackend(*fetch.backend, "/gather", body.Dump(0), deadline_ms);
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
-  ForwardCaptures(captures);
+  FanOut(fetches.size(), [&](size_t i) {
+    OwnerFetch& fetch = fetches[i];
+    JsonValue body = JsonValue::Object();
+    JsonValue ids = JsonValue::Array();
+    for (size_t position : *fetch.positions) ids.Append(seeds[position]);
+    body.Set("seeds", std::move(ids));
+    fetch.response =
+        CallBackend(*fetch.backend, "/gather", body.Dump(0), deadline_ms);
+  });
 
   // Assemble the full block at kernel strides, rows in seed order —
   // byte-identical to what GatherSeedBlock would build on one node.
-  serve::SeedBlock block;
-  block.dim = dim_;
-  block.quantized = quantized_;
-  block.seeds = seeds;
-  if (!quantized_) {
-    block.stride =
-        static_cast<uint32_t>(kernels::PaddedStride(dim_, sizeof(double)));
-    block.sources.resize(seeds.size() * static_cast<size_t>(block.stride),
-                         0.0);
-    block.source_biases.resize(seeds.size());
-  } else {
-    block.q_stride = static_cast<uint32_t>(kernels::PaddedStride(dim_, 1));
-    block.q_sources.resize(seeds.size() * static_cast<size_t>(block.q_stride),
-                           0);
-    block.q_scales.resize(seeds.size());
-    block.q_biases.resize(seeds.size());
-  }
-
+  serve::SeedBlock block = serve::SeedBlock::Shaped(mode_, dim_, seeds);
   for (OwnerFetch& fetch : fetches) {
     if (!fetch.response.ok()) {
       missing->push_back(fetch.backend->shard_index);
@@ -396,26 +374,13 @@ Result<serve::SeedBlock> ShardCoordinator::GatherBlock(
     }
     Result<serve::SeedBlock> part = SeedBlockFromJson(fetch.response.value());
     if (!part.ok() || part.value().num_seeds() != fetch.positions->size() ||
-        part.value().dim != dim_ || part.value().quantized != quantized_) {
+        part.value().dim != dim_ || part.value().mode() != mode_) {
       missing->push_back(fetch.backend->shard_index);
       if (obs::MetricsEnabled()) shard_errors_->Increment();
       continue;
     }
-    const serve::SeedBlock& sub = part.value();
     for (size_t j = 0; j < fetch.positions->size(); ++j) {
-      const size_t position = (*fetch.positions)[j];
-      if (!quantized_) {
-        std::memcpy(block.sources.data() +
-                        position * static_cast<size_t>(block.stride),
-                    sub.source_row(j), sizeof(double) * dim_);
-        block.source_biases[position] = sub.source_biases[j];
-      } else {
-        std::memcpy(block.q_sources.data() +
-                        position * static_cast<size_t>(block.q_stride),
-                    sub.q_source_row(j), dim_);
-        block.q_scales[position] = sub.q_scales[j];
-        block.q_biases[position] = sub.q_biases[j];
-      }
+      block.CopySeed((*fetch.positions)[j], part.value(), j);
     }
   }
   if (!missing->empty()) {
@@ -428,24 +393,10 @@ Result<serve::SeedBlock> ShardCoordinator::GatherBlock(
 
 Result<CoordTopKResult> ShardCoordinator::TopK(
     const CoordTopKRequest& request) const {
-  if (request.k == 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (request.k > options_.max_k) {
-    return Status::InvalidArgument(
-        "k too large: " + std::to_string(request.k) + " > max " +
-        std::to_string(options_.max_k));
-  }
-  INF2VEC_RETURN_IF_ERROR(ValidateSeeds(request.seeds));
-
-  // Per-backend budget: the configured shard deadline, clipped to the
-  // request's own budget when one was supplied.
-  uint64_t call_deadline_ms = options_.shard_deadline_ms;
-  if (request.deadline_us != 0) {
-    call_deadline_ms =
-        std::min<uint64_t>(call_deadline_ms,
-                           std::max<uint64_t>(1, request.deadline_us / 1000));
-  }
+  INF2VEC_RETURN_IF_ERROR(serve::ValidateK(request.k, options_.max_k));
+  INF2VEC_RETURN_IF_ERROR(
+      serve::ValidateSeedSet(request.seeds, options_.max_seeds, total_users_));
+  const uint64_t call_deadline_ms = CallDeadlineMs(request.deadline_us);
 
   CoordTopKResult result;
   Result<serve::SeedBlock> block =
@@ -472,24 +423,15 @@ Result<CoordTopKResult> ShardCoordinator::TopK(
     Result<JsonValue> response{Status::Internal("not run")};
   };
   std::vector<ShardCall> calls(backends_.size());
-  std::vector<SpanCapture> captures(backends_.size());
   {
     obs::TraceSpan span("scatter", "shard");
     span.SetAttr("backends", static_cast<uint64_t>(backends_.size()));
-    std::vector<std::thread> threads;
-    threads.reserve(backends_.size());
-    for (size_t i = 0; i < backends_.size(); ++i) {
+    FanOut(calls.size(), [&](size_t i) {
       calls[i].backend = backends_[i].get();
-      threads.emplace_back([this, &calls, &captures, &scatter_body,
-                            call_deadline_ms, i]() {
-        obs::ScopedTraceSink sink_guard(&captures[i]);
-        calls[i].response = CallBackend(*calls[i].backend, "/topk",
-                                        scatter_body, call_deadline_ms);
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
+      calls[i].response = CallBackend(*calls[i].backend, "/topk",
+                                      scatter_body, call_deadline_ms);
+    });
   }
-  ForwardCaptures(captures);
 
   std::vector<serve::TopKEntry> merged;
   merged.reserve(backends_.size() * request.k);
@@ -513,6 +455,8 @@ Result<CoordTopKResult> ShardCoordinator::TopK(
   }
 
   {
+    // serve's own ranking order: global ids are unique, so the order is
+    // total and the merged sort equals the single-node ranking.
     obs::TraceSpan span("merge", "shard");
     std::sort(merged.begin(), merged.end(), BetterThan);
     if (merged.size() > request.k) merged.resize(request.k);
@@ -534,13 +478,9 @@ Result<CoordScoreResult> ShardCoordinator::Score(
     return Status::NotFound("unknown candidate user " +
                             std::to_string(candidate));
   }
-  INF2VEC_RETURN_IF_ERROR(ValidateSeeds(seeds));
-
-  uint64_t call_deadline_ms = options_.shard_deadline_ms;
-  if (deadline_us != 0) {
-    call_deadline_ms = std::min<uint64_t>(
-        call_deadline_ms, std::max<uint64_t>(1, deadline_us / 1000));
-  }
+  INF2VEC_RETURN_IF_ERROR(
+      serve::ValidateSeedSet(seeds, options_.max_seeds, total_users_));
+  const uint64_t call_deadline_ms = CallDeadlineMs(deadline_us);
 
   std::vector<uint32_t> missing;
   Result<serve::SeedBlock> block =
@@ -582,7 +522,7 @@ obs::JsonValue ShardCoordinator::DescribeJson() const {
   json.Set("num_shards", num_shards());
   json.Set("total_users", total_users_);
   json.Set("dim", dim_);
-  json.Set("quantize", quantized_ ? "int8" : "none");
+  json.Set("quantize", serve::QuantModeName(mode_));
   json.Set("model_hash", model_hash_);
   json.Set("shard_deadline_ms", options_.shard_deadline_ms);
   JsonValue backends = JsonValue::Array();
@@ -598,65 +538,6 @@ obs::JsonValue ShardCoordinator::DescribeJson() const {
   return json;
 }
 
-namespace {
-
-HttpResponse ErrorResponse(const Status& status) {
-  return obs::ErrorJson(serve::HttpCodeFor(status),
-                        StatusCodeName(status.code()), status.message());
-}
-
-Result<std::vector<UserId>> ParseSeedsQuery(const HttpRequest& request) {
-  if (!request.HasQuery("seeds")) {
-    return Status::InvalidArgument("missing required parameter: seeds");
-  }
-  std::vector<UserId> seeds;
-  for (std::string_view field :
-       SplitString(request.QueryOr("seeds", ""), ',')) {
-    uint32_t id = 0;
-    const Status parsed = ParseUint32(TrimString(field), &id);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("bad seeds entry '" +
-                                     std::string(field) +
-                                     "': " + parsed.message());
-    }
-    seeds.push_back(id);
-  }
-  return seeds;
-}
-
-Status ParseOptionalUint(const HttpRequest& request, const std::string& key,
-                         uint64_t* out) {
-  if (!request.HasQuery(key)) return Status::OK();
-  const std::string raw = request.QueryOr(key, "");
-  int64_t value = 0;
-  const Status parsed = ParseInt64(raw, &value);
-  if (!parsed.ok() || value < 0) {
-    return Status::InvalidArgument("bad " + key + " '" + raw + "'");
-  }
-  *out = static_cast<uint64_t>(value);
-  return Status::OK();
-}
-
-Status ParseOptionalAggregation(const HttpRequest& request,
-                                std::optional<Aggregation>* out) {
-  if (!request.HasQuery("aggregation")) return Status::OK();
-  Result<Aggregation> parsed =
-      ParseAggregation(request.QueryOr("aggregation", ""));
-  INF2VEC_RETURN_IF_ERROR(parsed.status());
-  *out = parsed.value();
-  return Status::OK();
-}
-
-/// Shared fields of every degraded / partial body.
-void SetDegradedFields(JsonValue* body, const CoordTopKResult& result) {
-  body->Set("degraded", result.degraded);
-  JsonValue missing = JsonValue::Array();
-  for (uint32_t index : result.shards_missing) missing.Append(index);
-  body->Set("shards_missing", std::move(missing));
-}
-
-}  // namespace
-
 void RegisterCoordinatorEndpoints(obs::StatsServer* server,
                                   const ShardCoordinator* coordinator) {
   server->Route("GET", "/shardz", [coordinator](const HttpRequest&) {
@@ -669,30 +550,8 @@ void RegisterCoordinatorEndpoints(obs::StatsServer* server,
 
   server->Route("GET", "/topk", [coordinator](const HttpRequest& request) {
     CoordTopKRequest query;
-    Result<std::vector<UserId>> seeds = ParseSeedsQuery(request);
-    if (!seeds.ok()) return ErrorResponse(seeds.status());
-    query.seeds = std::move(seeds).value();
-    uint64_t k = 10;
-    if (const Status parsed = ParseOptionalUint(request, "k", &k);
-        !parsed.ok()) {
-      return ErrorResponse(parsed);
-    }
-    if (k == 0 || k > UINT32_MAX) {
-      return ErrorResponse(Status::InvalidArgument("k out of range"));
-    }
-    query.k = static_cast<uint32_t>(k);
-    if (const Status parsed =
-            ParseOptionalAggregation(request, &query.aggregation);
-        !parsed.ok()) {
-      return ErrorResponse(parsed);
-    }
-    if (const Status parsed =
-            ParseOptionalUint(request, "deadline_us", &query.deadline_us);
-        !parsed.ok()) {
-      return ErrorResponse(parsed);
-    }
-    const std::string include = request.QueryOr("include_seeds", "0");
-    query.include_seeds = include == "1" || include == "true";
+    const Status parsed = serve::ParseTopKQuery(request, &query);
+    if (!parsed.ok()) return ErrorResponse(parsed);
 
     if (obs::TraceSpan* span = obs::TraceSpan::Current()) {
       span->SetAttr("seed_count", static_cast<uint64_t>(query.seeds.size()));
@@ -727,14 +586,7 @@ void RegisterCoordinatorEndpoints(obs::StatsServer* server,
     body.Set("k", query.k);
     body.Set("scanned", topk.scanned);
     SetDegradedFields(&body, topk);
-    JsonValue entries = JsonValue::Array();
-    for (const serve::TopKEntry& entry : topk.entries) {
-      JsonValue row = JsonValue::Object();
-      row.Set("user", entry.user);
-      row.Set("score", entry.score);
-      entries.Append(std::move(row));
-    }
-    body.Set("results", std::move(entries));
+    body.Set("results", serve::TopKEntriesJson(topk.entries));
     // Partial results announce themselves with 206 so clients and load
     // balancers can tell a full ranking from a shard-loss ranking.
     return HttpResponse::Json(topk.degraded ? 206 : 200,
@@ -742,36 +594,17 @@ void RegisterCoordinatorEndpoints(obs::StatsServer* server,
   });
 
   server->Route("GET", "/score", [coordinator](const HttpRequest& request) {
-    if (!request.HasQuery("candidate")) {
-      return ErrorResponse(
-          Status::InvalidArgument("missing required parameter: candidate"));
-    }
-    uint32_t candidate = 0;
-    const Status candidate_ok =
-        ParseUint32(request.QueryOr("candidate", ""), &candidate);
-    if (!candidate_ok.ok()) {
-      return ErrorResponse(
-          Status::InvalidArgument("bad candidate: " + candidate_ok.message()));
-    }
-    Result<std::vector<UserId>> seeds = ParseSeedsQuery(request);
-    if (!seeds.ok()) return ErrorResponse(seeds.status());
-    std::optional<Aggregation> aggregation;
-    if (const Status parsed = ParseOptionalAggregation(request, &aggregation);
-        !parsed.ok()) {
-      return ErrorResponse(parsed);
-    }
-    uint64_t deadline_us = 0;
-    if (const Status parsed =
-            ParseOptionalUint(request, "deadline_us", &deadline_us);
-        !parsed.ok()) {
-      return ErrorResponse(parsed);
-    }
+    serve::ScoreRequest query;
+    Status parsed =
+        serve::ParseRequiredUint32(request, "candidate", &query.candidate);
+    if (parsed.ok()) parsed = serve::ParseCommonQuery(request, &query);
+    if (!parsed.ok()) return ErrorResponse(parsed);
 
-    Result<CoordScoreResult> result =
-        coordinator->Score(candidate, seeds.value(), aggregation, deadline_us);
+    Result<CoordScoreResult> result = coordinator->Score(
+        query.candidate, query.seeds, query.aggregation, query.deadline_us);
     if (!result.ok()) return ErrorResponse(result.status());
     JsonValue body = JsonValue::Object();
-    body.Set("candidate", candidate);
+    body.Set("candidate", query.candidate);
     body.Set("score", result.value().score);
     body.Set("shard", result.value().shard_index);
     return HttpResponse::Json(200, body.Dump(0) + "\n");

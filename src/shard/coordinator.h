@@ -109,7 +109,8 @@ class ShardCoordinator {
   uint32_t num_shards() const;
   uint32_t total_users() const { return total_users_; }
   uint32_t dim() const { return dim_; }
-  bool quantized() const { return quantized_; }
+  serve::QuantMode mode() const { return mode_; }
+  bool quantized() const { return mode_ == serve::QuantMode::kInt8; }
   const std::string& model_hash() const { return model_hash_; }
 
   /// The coordinator /shardz payload: cluster topology.
@@ -143,7 +144,9 @@ class ShardCoordinator {
                                      uint64_t deadline_ms) const;
   /// Owner of a global user id (ranges tile the id space).
   const Backend& OwnerOf(UserId user) const;
-  Status ValidateSeeds(const std::vector<UserId>& seeds) const;
+  /// Per-backend call budget: shard_deadline_ms, clipped to a nonzero
+  /// request budget.
+  uint64_t CallDeadlineMs(uint64_t deadline_us) const;
   /// Phase 1: fetch + assemble the transported seed block. On failure
   /// fills `missing` with the unreachable owners' shard indices.
   Result<serve::SeedBlock> GatherBlock(const std::vector<UserId>& seeds,
@@ -156,7 +159,7 @@ class ShardCoordinator {
   std::vector<std::unique_ptr<Backend>> backends_;  // Sorted by begin_user.
   uint32_t total_users_ = 0;
   uint32_t dim_ = 0;
-  bool quantized_ = false;
+  serve::QuantMode mode_ = serve::QuantMode::kNone;
   std::string model_hash_;
 
   // Metric handles (registry-owned).
@@ -169,13 +172,15 @@ class ShardCoordinator {
 /// single-node serve API in the global id space:
 ///
 ///   GET /topk?seeds=A,B[&k=10][&aggregation=Ave][&deadline_us=N]
-///            [&include_seeds=1]
+///            [&include_seeds=1|true]
 ///   GET /score?candidate=U&seeds=A,B[&aggregation=Ave][&deadline_us=N]
 ///   GET /shardz
 ///
 /// A degraded /topk answers 206 Partial Content with `degraded: true`
 /// and the missing shard indices; a query no shard could answer (all
-/// down, or a gather owner down) answers 503 with the same fields.
+/// down, or a gather owner down) answers 503 with the same fields. Query
+/// parameters go through serve's parsers (serve_endpoints.h), so both
+/// planes accept and refuse exactly the same inputs.
 void RegisterCoordinatorEndpoints(obs::StatsServer* server,
                                   const ShardCoordinator* coordinator);
 

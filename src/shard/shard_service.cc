@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "serve/seed_cache.h"
 #include "serve/serve_endpoints.h"
 #include "shard/wire.h"
 #include "util/string_util.h"
@@ -15,11 +14,7 @@ namespace {
 using obs::HttpRequest;
 using obs::HttpResponse;
 using obs::JsonValue;
-
-HttpResponse ErrorResponse(const Status& status) {
-  return obs::ErrorJson(serve::HttpCodeFor(status),
-                        StatusCodeName(status.code()), status.message());
-}
+using serve::ErrorResponse;
 
 Result<JsonValue> ParseBody(const HttpRequest& request) {
   if (request.body.empty()) {
@@ -71,7 +66,7 @@ obs::JsonValue ShardService::ShardzJson() const {
   json.Set("end_user", info_.end_user);
   json.Set("total_users", info_.total_users);
   json.Set("model_hash", FormatModelHash(info_.model_hash));
-  json.Set("dim", service_->store().dim());
+  json.Set("dim", service_->dim());
   json.Set("quantize", serve::QuantModeName(service_->quant_mode()));
   json.Set("aggregation", AggregationName(service_->default_aggregation()));
   return json;
@@ -114,11 +109,8 @@ void RegisterShardEndpoints(obs::StatsServer* server,
       }
       local.push_back(shard->ToLocal(global));
     }
-    const serve::InfluenceService& service = shard->service();
     serve::SeedBlock block =
-        service.quantized_store() != nullptr
-            ? serve::GatherSeedBlock(*service.quantized_store(), local)
-            : serve::GatherSeedBlock(service.store(), local);
+        serve::GatherSeedBlock(shard->service().table(), local);
     // The wire carries global ids; rows stay in request order.
     block.seeds = std::move(seeds).value();
     return HttpResponse::Json(200, SeedBlockToJson(block).Dump(0) + "\n");
@@ -161,8 +153,10 @@ void RegisterShardEndpoints(obs::StatsServer* server,
     Result<JsonValue> body = ParseBody(request);
     if (!body.ok()) return ErrorResponse(body.status());
     const JsonValue* candidate_v = body.value().Find("candidate");
-    if (candidate_v == nullptr || !candidate_v->is_number() ||
-        candidate_v->AsInt() < 0) {
+    if (candidate_v == nullptr ||
+        candidate_v->kind() != JsonValue::Kind::kInt ||
+        candidate_v->AsInt() < 0 ||
+        candidate_v->AsInt() > static_cast<int64_t>(UINT32_MAX)) {
       return ErrorResponse(
           Status::InvalidArgument("score request missing 'candidate'"));
     }
@@ -174,6 +168,10 @@ void RegisterShardEndpoints(obs::StatsServer* server,
     }
     std::optional<Aggregation> aggregation;
     if (const JsonValue* agg = body.value().Find("aggregation")) {
+      if (agg->kind() != JsonValue::Kind::kString) {
+        return ErrorResponse(
+            Status::InvalidArgument("aggregation must be a string"));
+      }
       Result<Aggregation> parsed_agg = ParseAggregation(agg->AsString());
       if (!parsed_agg.ok()) return ErrorResponse(parsed_agg.status());
       aggregation = parsed_agg.value();

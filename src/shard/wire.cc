@@ -1,8 +1,6 @@
 #include "shard/wire.h"
 
-#include <cstring>
-
-#include "kernels/aligned.h"
+#include "serve/serve_endpoints.h"
 
 namespace inf2vec {
 namespace shard {
@@ -12,6 +10,16 @@ using obs::JsonValue;
 
 bool IsArray(const JsonValue* v) {
   return v != nullptr && v->kind() == JsonValue::Kind::kArray;
+}
+
+/// JsonValue::AsInt/AsString abort on the wrong kind, so every field
+/// read from the wire is kind-checked first.
+bool IsInt(const JsonValue* v) {
+  return v != nullptr && v->kind() == JsonValue::Kind::kInt;
+}
+
+bool IsString(const JsonValue* v) {
+  return v != nullptr && v->kind() == JsonValue::Kind::kString;
 }
 
 }  // namespace
@@ -30,7 +38,7 @@ Result<std::vector<UserId>> UserIdsFromJson(const obs::JsonValue& json,
   std::vector<UserId> ids;
   ids.reserve(json.size());
   for (const JsonValue& item : json.items()) {
-    if (!item.is_number()) {
+    if (!IsInt(&item)) {
       return Status::InvalidArgument(what + " entries must be integers");
     }
     const int64_t id = item.AsInt();
@@ -45,39 +53,21 @@ Result<std::vector<UserId>> UserIdsFromJson(const obs::JsonValue& json,
 obs::JsonValue SeedBlockToJson(const serve::SeedBlock& block) {
   JsonValue json = JsonValue::Object();
   json.Set("dim", block.dim);
-  json.Set("quantized", block.quantized);
+  json.Set("quantize", serve::QuantModeName(block.mode()));
   json.Set("seeds", UserIdsToJson(block.seeds));
-  if (!block.quantized) {
-    JsonValue rows = JsonValue::Array();
-    JsonValue biases = JsonValue::Array();
-    for (size_t i = 0; i < block.num_seeds(); ++i) {
-      const double* row = block.source_row(i);
-      JsonValue vec = JsonValue::Array();
-      for (uint32_t d = 0; d < block.dim; ++d) vec.Append(row[d]);
-      rows.Append(std::move(vec));
-      biases.Append(block.source_biases[i]);
-    }
-    json.Set("rows", std::move(rows));
-    json.Set("biases", std::move(biases));
-  } else {
-    JsonValue rows = JsonValue::Array();
-    JsonValue scales = JsonValue::Array();
-    JsonValue biases = JsonValue::Array();
-    for (size_t i = 0; i < block.num_seeds(); ++i) {
-      const int8_t* row = block.q_source_row(i);
-      JsonValue vec = JsonValue::Array();
-      for (uint32_t d = 0; d < block.dim; ++d) {
-        vec.Append(static_cast<int64_t>(row[d]));
-      }
-      rows.Append(std::move(vec));
-      // float -> double is exact, so fp32 scales/biases survive the trip.
-      scales.Append(static_cast<double>(block.q_scales[i]));
-      biases.Append(static_cast<double>(block.q_biases[i]));
-    }
-    json.Set("q_rows", std::move(rows));
-    json.Set("q_scales", std::move(scales));
-    json.Set("q_biases", std::move(biases));
+  JsonValue rows = JsonValue::Array();
+  JsonValue scales = JsonValue::Array();
+  JsonValue biases = JsonValue::Array();
+  for (size_t i = 0; i < block.num_seeds(); ++i) {
+    JsonValue row = JsonValue::Array();
+    for (uint32_t d = 0; d < block.dim; ++d) row.Append(block.Element(i, d));
+    rows.Append(std::move(row));
+    scales.Append(block.scales[i]);
+    biases.Append(block.biases[i]);
   }
+  json.Set("rows", std::move(rows));
+  json.Set("scales", std::move(scales));
+  json.Set("biases", std::move(biases));
   return json;
 }
 
@@ -86,13 +76,19 @@ Result<serve::SeedBlock> SeedBlockFromJson(const obs::JsonValue& json) {
     return Status::InvalidArgument("seed block must be a JSON object");
   }
   const JsonValue* dim_v = json.Find("dim");
-  if (dim_v == nullptr || !dim_v->is_number() || dim_v->AsInt() <= 0) {
+  if (!IsInt(dim_v) || dim_v->AsInt() <= 0 ||
+      dim_v->AsInt() > static_cast<int64_t>(UINT32_MAX)) {
     return Status::InvalidArgument("seed block missing positive 'dim'");
   }
   const uint32_t dim = static_cast<uint32_t>(dim_v->AsInt());
-  const JsonValue* quantized_v = json.Find("quantized");
-  const bool quantized = quantized_v != nullptr && quantized_v->AsBool();
-
+  // The codec's one look at the element type: it shapes the rows below.
+  const JsonValue* mode_v = json.Find("quantize");
+  serve::QuantMode mode = serve::QuantMode::kNone;
+  if (!IsString(mode_v) ||
+      !serve::ParseQuantModeName(mode_v->AsString(), &mode)) {
+    return Status::InvalidArgument(
+        "seed block 'quantize' must be \"none\" or \"int8\"");
+  }
   const JsonValue* seeds_v = json.Find("seeds");
   if (seeds_v == nullptr) {
     return Status::InvalidArgument("seed block missing 'seeds'");
@@ -101,80 +97,38 @@ Result<serve::SeedBlock> SeedBlockFromJson(const obs::JsonValue& json) {
   INF2VEC_RETURN_IF_ERROR(seeds.status());
   const size_t num_seeds = seeds.value().size();
 
-  serve::SeedBlock block;
-  block.dim = dim;
-  block.quantized = quantized;
-  block.seeds = std::move(seeds).value();
-
-  if (!quantized) {
-    const JsonValue* rows = json.Find("rows");
-    const JsonValue* biases = json.Find("biases");
-    if (!IsArray(rows) || !IsArray(biases) || rows->size() != num_seeds ||
-        biases->size() != num_seeds) {
-      return Status::InvalidArgument(
-          "seed block rows/biases disagree with seed count");
-    }
-    // Same layout GatherSeedBlock builds: kernel-aligned stride, zero
-    // padding, dim doubles copied per row.
-    block.stride =
-        static_cast<uint32_t>(kernels::PaddedStride(dim, sizeof(double)));
-    block.sources.resize(num_seeds * static_cast<size_t>(block.stride), 0.0);
-    block.source_biases.resize(num_seeds);
-    for (size_t i = 0; i < num_seeds; ++i) {
-      const JsonValue& vec = rows->items()[i];
-      if (vec.kind() != JsonValue::Kind::kArray || vec.size() != dim) {
-        return Status::InvalidArgument("seed row length disagrees with dim");
-      }
-      double* out = block.sources.data() + i * block.stride;
-      for (uint32_t d = 0; d < dim; ++d) {
-        if (!vec.items()[d].is_number()) {
-          return Status::InvalidArgument("seed row entries must be numbers");
-        }
-        out[d] = vec.items()[d].AsDouble();
-      }
-      if (!biases->items()[i].is_number()) {
-        return Status::InvalidArgument("seed biases must be numbers");
-      }
-      block.source_biases[i] = biases->items()[i].AsDouble();
-    }
-    return block;
-  }
-
-  const JsonValue* rows = json.Find("q_rows");
-  const JsonValue* scales = json.Find("q_scales");
-  const JsonValue* biases = json.Find("q_biases");
+  const JsonValue* rows = json.Find("rows");
+  const JsonValue* scales = json.Find("scales");
+  const JsonValue* biases = json.Find("biases");
   if (!IsArray(rows) || !IsArray(scales) || !IsArray(biases) ||
       rows->size() != num_seeds || scales->size() != num_seeds ||
       biases->size() != num_seeds) {
     return Status::InvalidArgument(
-        "quantized seed block arrays disagree with seed count");
+        "seed block rows/scales/biases disagree with seed count");
   }
-  block.q_stride = static_cast<uint32_t>(kernels::PaddedStride(dim, 1));
-  block.q_sources.resize(num_seeds * static_cast<size_t>(block.q_stride), 0);
-  block.q_scales.resize(num_seeds);
-  block.q_biases.resize(num_seeds);
-  for (size_t i = 0; i < num_seeds; ++i) {
-    const JsonValue& vec = rows->items()[i];
-    if (vec.kind() != JsonValue::Kind::kArray || vec.size() != dim) {
+  // Shape before allocating: every row the block will hold is present in
+  // the body, so a forged dim cannot size an allocation on its own.
+  for (const JsonValue& row : rows->items()) {
+    if (row.kind() != JsonValue::Kind::kArray || row.size() != dim) {
       return Status::InvalidArgument("seed row length disagrees with dim");
     }
-    int8_t* out = block.q_sources.data() + i * static_cast<size_t>(block.q_stride);
+  }
+  serve::SeedBlock block =
+      serve::SeedBlock::Shaped(mode, dim, std::move(seeds).value());
+  for (size_t i = 0; i < num_seeds; ++i) {
+    const JsonValue& row = rows->items()[i];
     for (uint32_t d = 0; d < dim; ++d) {
-      const JsonValue& code = vec.items()[d];
-      if (!code.is_number()) {
-        return Status::InvalidArgument("int8 codes must be integers");
+      if (!row.items()[d].is_number()) {
+        return Status::InvalidArgument("seed row entries must be numbers");
       }
-      const int64_t value = code.AsInt();
-      if (value < -128 || value > 127) {
-        return Status::InvalidArgument("int8 code out of range");
-      }
-      out[d] = static_cast<int8_t>(value);
+      INF2VEC_RETURN_IF_ERROR(
+          block.SetElement(i, d, row.items()[d].AsDouble()));
     }
     if (!scales->items()[i].is_number() || !biases->items()[i].is_number()) {
-      return Status::InvalidArgument("q_scales/q_biases must be numbers");
+      return Status::InvalidArgument("seed scales/biases must be numbers");
     }
-    block.q_scales[i] = static_cast<float>(scales->items()[i].AsDouble());
-    block.q_biases[i] = static_cast<float>(biases->items()[i].AsDouble());
+    block.scales[i] = scales->items()[i].AsDouble();
+    block.biases[i] = biases->items()[i].AsDouble();
   }
   return block;
 }
@@ -197,18 +151,21 @@ Result<ShardTopKRequest> ShardTopKRequestFromJson(const obs::JsonValue& json) {
   }
   ShardTopKRequest request;
   const JsonValue* k = json.Find("k");
-  if (k == nullptr || !k->is_number() || k->AsInt() <= 0 ||
+  if (!IsInt(k) || k->AsInt() <= 0 ||
       k->AsInt() > static_cast<int64_t>(UINT32_MAX)) {
     return Status::InvalidArgument("shard topk request needs positive 'k'");
   }
   request.k = static_cast<uint32_t>(k->AsInt());
   if (const JsonValue* agg = json.Find("aggregation")) {
+    if (!IsString(agg)) {
+      return Status::InvalidArgument("aggregation must be a string");
+    }
     Result<Aggregation> parsed = ParseAggregation(agg->AsString());
     INF2VEC_RETURN_IF_ERROR(parsed.status());
     request.aggregation = parsed.value();
   }
   if (const JsonValue* deadline = json.Find("deadline_us")) {
-    if (!deadline->is_number() || deadline->AsInt() < 0) {
+    if (!IsInt(deadline) || deadline->AsInt() < 0) {
       return Status::InvalidArgument("deadline_us must be non-negative");
     }
     request.deadline_us = static_cast<uint64_t>(deadline->AsInt());
@@ -232,14 +189,7 @@ obs::JsonValue ShardTopKResponseToJson(const ShardTopKResponse& response) {
   JsonValue json = JsonValue::Object();
   json.Set("shard", response.shard_index);
   json.Set("scanned", response.scanned);
-  JsonValue entries = JsonValue::Array();
-  for (const serve::TopKEntry& entry : response.entries) {
-    JsonValue row = JsonValue::Object();
-    row.Set("user", entry.user);
-    row.Set("score", entry.score);
-    entries.Append(std::move(row));
-  }
-  json.Set("entries", std::move(entries));
+  json.Set("entries", serve::TopKEntriesJson(response.entries));
   return json;
 }
 
@@ -250,12 +200,12 @@ Result<ShardTopKResponse> ShardTopKResponseFromJson(
   }
   ShardTopKResponse response;
   const JsonValue* shard = json.Find("shard");
-  if (shard == nullptr || !shard->is_number() || shard->AsInt() < 0) {
+  if (!IsInt(shard) || shard->AsInt() < 0) {
     return Status::InvalidArgument("shard topk response missing 'shard'");
   }
   response.shard_index = static_cast<uint32_t>(shard->AsInt());
   const JsonValue* scanned = json.Find("scanned");
-  if (scanned == nullptr || !scanned->is_number() || scanned->AsInt() < 0) {
+  if (!IsInt(scanned) || scanned->AsInt() < 0) {
     return Status::InvalidArgument("shard topk response missing 'scanned'");
   }
   response.scanned = static_cast<uint64_t>(scanned->AsInt());
@@ -267,7 +217,8 @@ Result<ShardTopKResponse> ShardTopKResponseFromJson(
   for (const JsonValue& row : entries->items()) {
     const JsonValue* user = row.Find("user");
     const JsonValue* score = row.Find("score");
-    if (user == nullptr || !user->is_number() || user->AsInt() < 0 ||
+    if (!IsInt(user) || user->AsInt() < 0 ||
+        user->AsInt() > static_cast<int64_t>(UINT32_MAX) ||
         score == nullptr || !score->is_number()) {
       return Status::InvalidArgument("malformed shard topk entry");
     }

@@ -5,8 +5,9 @@
 // which round-trips every finite double exactly through ParseJson — so a
 // SeedBlock decoded on the shard side is bit-identical to the block the
 // coordinator gathered, and transported scores compare with == against
-// single-node scores. int8 codes and fp32 scales travel as JSON ints /
-// doubles, both lossless for their ranges.
+// single-node scores. A seed block names its element type once
+// ("quantize": "none" | "int8"); int8 codes and fp32-derived scales and
+// biases are exact as JSON numbers too.
 #ifndef INF2VEC_SHARD_WIRE_H_
 #define INF2VEC_SHARD_WIRE_H_
 
@@ -18,7 +19,7 @@
 #include "core/aggregation.h"
 #include "obs/json.h"
 #include "serve/influence_service.h"
-#include "serve/seed_cache.h"
+#include "serve/serving_table.h"
 #include "util/status.h"
 
 namespace inf2vec {
@@ -31,8 +32,9 @@ namespace shard {
 obs::JsonValue SeedBlockToJson(const serve::SeedBlock& block);
 
 /// Inverse of SeedBlockToJson: rebuilds the block at the kernel-aligned
-/// strides for its dim. Rejects shape mismatches (row length vs dim,
-/// array length disagreements).
+/// stride for its element type and dim. Rejects shape mismatches (row
+/// length vs dim, array length disagreements) and int8 codes outside
+/// [-128, 127].
 Result<serve::SeedBlock> SeedBlockFromJson(const obs::JsonValue& json);
 
 /// POST /topk body sent by the coordinator to every shard.

@@ -343,7 +343,7 @@ EmbeddingStore MakeStore(uint32_t users, uint32_t dim) {
 }
 
 TEST_F(MemoryObsTest, SeedCacheAccountsLiveBytesIncrementally) {
-  const EmbeddingStore store = MakeStore(64, 8);
+  const serve::ServingTable table(MakeStore(64, 8));
   MemoryGauge* gauge =
       MemoryRegistry::Default().GetGauge("serve.seed_cache");
   {
@@ -351,25 +351,25 @@ TEST_F(MemoryObsTest, SeedCacheAccountsLiveBytesIncrementally) {
     EXPECT_EQ(cache.total_bytes(), 0u);
 
     bool hit = false;
-    ASSERT_NE(cache.Get(store, {1, 2, 3}, &hit), nullptr);
+    ASSERT_NE(cache.Get(table, {1, 2, 3}, &hit), nullptr);
     EXPECT_FALSE(hit);
     const uint64_t one_entry = cache.total_bytes();
     EXPECT_GT(one_entry, 0u);
     EXPECT_EQ(gauge->bytes(), one_entry);
 
     // A hit must not change the accounting.
-    ASSERT_NE(cache.Get(store, {1, 2, 3}, &hit), nullptr);
+    ASSERT_NE(cache.Get(table, {1, 2, 3}, &hit), nullptr);
     EXPECT_TRUE(hit);
     EXPECT_EQ(cache.total_bytes(), one_entry);
 
-    ASSERT_NE(cache.Get(store, {4, 5}, &hit), nullptr);
+    ASSERT_NE(cache.Get(table, {4, 5}, &hit), nullptr);
     const uint64_t two_entries = cache.total_bytes();
     EXPECT_GT(two_entries, one_entry);
     EXPECT_EQ(gauge->bytes(), two_entries);
 
     // Third distinct set evicts the LRU entry: bytes stay bounded by the
     // two retained entries, never grow monotonically.
-    ASSERT_NE(cache.Get(store, {6, 7, 8, 9}, &hit), nullptr);
+    ASSERT_NE(cache.Get(table, {6, 7, 8, 9}, &hit), nullptr);
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_LE(cache.total_bytes(), two_entries + (two_entries - one_entry));
     EXPECT_EQ(gauge->bytes(), cache.total_bytes());
@@ -399,12 +399,12 @@ TEST_F(MemoryObsTest, InfluenceServiceAccountsItsTables) {
     auto service_or =
         serve::InfluenceService::FromArtifact(std::move(artifact), options);
     ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
-    EXPECT_EQ(table->bytes(), expected);
+    // int8 mode keeps only the int8 table: the fp64 one is freed at load.
+    EXPECT_EQ(table->bytes(), 0u);
     EXPECT_GT(qtable->bytes(), 0u);
     EXPECT_LT(qtable->bytes(), expected)
         << "int8 rows must be smaller than the fp64 table";
-    EXPECT_EQ(service_or.value().AccountedBytes(),
-              table->bytes() + qtable->bytes());
+    EXPECT_EQ(service_or.value().AccountedBytes(), qtable->bytes());
   }
   EXPECT_EQ(table->bytes(), 0u);
   EXPECT_EQ(qtable->bytes(), 0u);

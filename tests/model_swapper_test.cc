@@ -31,8 +31,8 @@ namespace {
 constexpr uint32_t kUsers = 64;
 constexpr uint32_t kDim = 8;
 
-EmbeddingStore MakeStore(uint64_t seed) {
-  EmbeddingStore store(kUsers, kDim);
+EmbeddingStore MakeStore(uint64_t seed, uint32_t dim = kDim) {
+  EmbeddingStore store(kUsers, dim);
   Rng rng(seed);
   store.InitUniform(-0.5, 0.5, rng);
   for (UserId u = 0; u < kUsers; ++u) {
@@ -42,12 +42,13 @@ EmbeddingStore MakeStore(uint64_t seed) {
   return store;
 }
 
-Status SaveModel(const std::string& path, uint64_t seed) {
+Status SaveModel(const std::string& path, uint64_t seed,
+                 uint32_t dim = kDim) {
   ModelMetadata metadata;
   metadata.aggregation = "Ave";
-  metadata.dim = kDim;
+  metadata.dim = dim;
   metadata.seed = seed;
-  return SaveModelArtifact(MakeStore(seed), metadata, path);
+  return SaveModelArtifact(MakeStore(seed, dim), metadata, path);
 }
 
 /// Reference score of the fixed probe query against the store `seed`
@@ -101,7 +102,7 @@ TEST_F(ModelSwapperTest, InitialReloadPublishesGenerationOne) {
   const auto model = swapper.Acquire();
   ASSERT_NE(model, nullptr);
   EXPECT_EQ(model->generation, 1u);
-  EXPECT_EQ(model->service.store().num_users(), kUsers);
+  EXPECT_EQ(model->service.num_users(), kUsers);
 
   ScoreRequest request;
   request.candidate = 9;
@@ -308,6 +309,39 @@ TEST_F(ModelSwapperTest, BudgetPreflightRefusesADoomedSwap) {
   ASSERT_NE(swapper.Acquire(), nullptr);
 
   // Lifting the budget lets the same swap through.
+  obs::SetMemoryBudget({0, 0});
+  ASSERT_TRUE(swapper.Reload().ok());
+  EXPECT_EQ(swapper.generation(), 2u);
+}
+
+TEST_F(ModelSwapperTest, Int8PreflightBudgetsTheFp64LoadPeak) {
+  obs::MemoryRegistry::Default().Reset();
+  obs::SetMemoryBudget({0, 0});
+
+  // dim 64: an fp64 row is 512 bytes against the int8 row's 64, so the
+  // two tables differ enough to tell apart.
+  ASSERT_TRUE(SaveModel(model_path_, 1, 64).ok());
+  ServiceOptions options;
+  options.quantize = QuantMode::kInt8;
+  ModelSwapper swapper(model_path_, options);
+  ASSERT_TRUE(swapper.Reload().ok());
+  const auto model = swapper.Acquire();
+  ASSERT_NE(model, nullptr);
+  // Only the int8 table stays resident.
+  const uint64_t resident = obs::MemoryRegistry::Default().AccountedBytes();
+  EXPECT_EQ(resident, model->service.AccountedBytes());
+  EXPECT_GT(model->service.LoadPeakBytes(), 2 * resident)
+      << "every load reads the fp64 table before freeing it";
+
+  // Room for the resident table plus a second int8 table, but not for the
+  // fp64 + int8 peak the next load goes through: refused up front.
+  obs::SetMemoryBudget({3 * resident, 0});
+  ASSERT_TRUE(SaveModel(model_path_, 2, 64).ok());
+  const Status refused = swapper.Reload();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(swapper.generation(), 1u);
+
   obs::SetMemoryBudget({0, 0});
   ASSERT_TRUE(swapper.Reload().ok());
   EXPECT_EQ(swapper.generation(), 2u);

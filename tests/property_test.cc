@@ -2,7 +2,9 @@
 // any world profile, exercised with parameterized sweeps.
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -17,10 +19,17 @@
 namespace inf2vec {
 namespace {
 
+// gtest names each instantiation after the raw bytes of its parameter, so
+// the struct carries explicit zero bytes where the compiler would otherwise
+// leave padding: uninitialised padding put stale heap bytes into the test
+// names, and they changed from one run to the next.
 struct WorldCase {
   uint64_t seed;
   bool flickr;
+  uint8_t zero_pad[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<WorldCase>,
+              "WorldCase must have no implicit padding");
 
 class WorldPropertyTest : public ::testing::TestWithParam<WorldCase> {
  protected:

@@ -145,8 +145,9 @@ TEST(QuantizedStoreTest, ServiceScoreMatchesStoreScoreBitwise) {
       InfluenceService::FromArtifact(std::move(artifact), options);
   ASSERT_TRUE(service.ok());
   ASSERT_EQ(service.value().quant_mode(), QuantMode::kInt8);
-  const QuantizedEmbeddingStore* q = service.value().quantized_store();
-  ASSERT_NE(q, nullptr);
+  const QuantizedEmbeddingStore quantized =
+      QuantizedEmbeddingStore::FromStore(store);
+  const QuantizedEmbeddingStore* q = &quantized;
 
   // Single-seed Ave == the raw pair score: the service's seed-block path
   // must agree with QuantizedEmbeddingStore::Score to the last bit.

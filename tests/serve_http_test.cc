@@ -138,6 +138,8 @@ TEST_F(ServeHttpTest, ErrorEnvelopeIsUniformAcrossLayers) {
       {"GET", "/score?candidate=1", "", 400, "INVALID_ARGUMENT"},
       {"GET", "/score?candidate=9999&seeds=1", "", 404, "NOT_FOUND"},
       {"GET", "/topk?seeds=abc", "", 400, "INVALID_ARGUMENT"},
+      // k past UINT32_MAX is refused, not wrapped to k=3.
+      {"GET", "/topk?seeds=1,2&k=4294967299", "", 400, "INVALID_ARGUMENT"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.method + " " + c.target);
@@ -148,6 +150,19 @@ TEST_F(ServeHttpTest, ErrorEnvelopeIsUniformAcrossLayers) {
     ASSERT_NE(doc.value().Find("error"), nullptr) << got.body;
     ASSERT_NE(doc.value().Find("code"), nullptr) << got.body;
     EXPECT_EQ(doc.value().Find("code")->AsString(), c.code);
+  }
+}
+
+TEST_F(ServeHttpTest, TopKIncludeSeedsAcceptsOneAndTrue) {
+  for (const char* spelling : {"1", "true"}) {
+    SCOPED_TRACE(spelling);
+    const HttpResult got =
+        Call(server_.port(), "GET",
+             std::string("/topk?seeds=1,2&k=3&include_seeds=") + spelling);
+    ASSERT_EQ(got.status, 200) << got.body;
+    Result<JsonValue> doc = ParseJson(got.body);
+    ASSERT_TRUE(doc.ok());
+    EXPECT_EQ(doc.value().Find("scanned")->AsInt(), 64);
   }
 }
 

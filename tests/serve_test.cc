@@ -2,6 +2,7 @@
 #include <atomic>
 #include <cstdio>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,8 +45,8 @@ InfluenceService MakeService(uint32_t num_users, uint32_t dim,
 
 TEST(InfluenceServiceTest, ScoreMatchesEmbeddingPredictorBitForBit) {
   const InfluenceService service = MakeService(64, 12);
-  const EmbeddingPredictor predictor("ref", &service.store(),
-                                     Aggregation::kAve);
+  const EmbeddingStore store = MakeStore(64, 12, 17);
+  const EmbeddingPredictor predictor("ref", &store, Aggregation::kAve);
   const std::vector<UserId> seeds = {3, 41, 7, 22};
   for (UserId candidate : {0u, 9u, 31u, 63u}) {
     ScoreRequest request;
@@ -62,11 +63,12 @@ TEST(InfluenceServiceTest, ScoreMatchesEmbeddingPredictorBitForBit) {
 
 TEST(InfluenceServiceTest, ScoreHonorsPerRequestAggregation) {
   const InfluenceService service = MakeService(32, 8);
+  const EmbeddingStore store = MakeStore(32, 8, 17);
   const std::vector<UserId> seeds = {1, 2, 3};
   for (Aggregation aggregation :
        {Aggregation::kAve, Aggregation::kSum, Aggregation::kMax,
         Aggregation::kLatest}) {
-    const EmbeddingPredictor predictor("ref", &service.store(), aggregation);
+    const EmbeddingPredictor predictor("ref", &store, aggregation);
     ScoreRequest request;
     request.candidate = 20;
     request.seeds = seeds;
@@ -79,14 +81,14 @@ TEST(InfluenceServiceTest, ScoreHonorsPerRequestAggregation) {
 
 TEST(InfluenceServiceTest, TopKMatchesBruteForceRankingExactly) {
   const InfluenceService service = MakeService(200, 10);
-  const EmbeddingPredictor predictor("ref", &service.store(),
-                                     Aggregation::kAve);
+  const EmbeddingStore store = MakeStore(200, 10, 17);
+  const EmbeddingPredictor predictor("ref", &store, Aggregation::kAve);
   const std::vector<UserId> seeds = {5, 99, 150};
   const uint32_t k = 17;
 
   // Brute force: score everyone, sort by (score desc, id asc).
   std::vector<TopKEntry> expected;
-  for (UserId v = 0; v < service.store().num_users(); ++v) {
+  for (UserId v = 0; v < store.num_users(); ++v) {
     if (std::find(seeds.begin(), seeds.end(), v) != seeds.end()) continue;
     expected.push_back({v, predictor.ScoreActivation(v, seeds)});
   }
@@ -103,7 +105,7 @@ TEST(InfluenceServiceTest, TopKMatchesBruteForceRankingExactly) {
   const Result<TopKResult> got = service.TopK(request);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got.value().entries.size(), k);
-  EXPECT_EQ(got.value().scanned, service.store().num_users() - seeds.size());
+  EXPECT_EQ(got.value().scanned, store.num_users() - seeds.size());
   for (uint32_t i = 0; i < k; ++i) {
     EXPECT_EQ(got.value().entries[i].user, expected[i].user) << "rank " << i;
     // Bit-identical scores (same arithmetic as EmbeddingStore::Score).
@@ -275,31 +277,65 @@ TEST(InfluenceServiceTest, DisabledCacheNeverHits) {
 }
 
 TEST(SeedBlockCacheTest, EvictsLeastRecentlyUsed) {
-  const EmbeddingStore store = MakeStore(16, 4, 3);
+  const ServingTable table(MakeStore(16, 4, 3));
   SeedBlockCache cache(2);
-  cache.Get(store, {1}, nullptr);
-  cache.Get(store, {2}, nullptr);
-  cache.Get(store, {1}, nullptr);  // Refresh {1}; {2} is now LRU.
-  cache.Get(store, {3}, nullptr);  // Evicts {2}.
+  cache.Get(table, {1}, nullptr);
+  cache.Get(table, {2}, nullptr);
+  cache.Get(table, {1}, nullptr);  // Refresh {1}; {2} is now LRU.
+  cache.Get(table, {3}, nullptr);  // Evicts {2}.
   bool hit = false;
-  cache.Get(store, {1}, &hit);
+  cache.Get(table, {1}, &hit);
   EXPECT_TRUE(hit);
-  cache.Get(store, {2}, &hit);
+  cache.Get(table, {2}, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(SeedBlockCacheTest, GatheredRowsMatchStoreBitForBit) {
   const EmbeddingStore store = MakeStore(8, 4, 9);
-  const SeedBlock block = GatherSeedBlock(store, {5, 1});
+  const SeedBlock block = GatherSeedBlock(ServingTable(store), {5, 1});
   ASSERT_EQ(block.num_seeds(), 2u);
   EXPECT_EQ(block.seeds, (std::vector<UserId>{5, 1}));
   for (uint32_t k = 0; k < 4; ++k) {
-    EXPECT_EQ(block.source_row(0)[k], store.Source(5)[k]);
-    EXPECT_EQ(block.source_row(1)[k], store.Source(1)[k]);
+    EXPECT_EQ(block.Element(0, k), store.Source(5)[k]);
+    EXPECT_EQ(block.Element(1, k), store.Source(1)[k]);
   }
-  EXPECT_EQ(block.source_biases[0], store.source_bias(5));
-  EXPECT_EQ(block.source_biases[1], store.source_bias(1));
+  EXPECT_EQ(block.biases[0], store.source_bias(5));
+  EXPECT_EQ(block.biases[1], store.source_bias(1));
+}
+
+TEST(InfluenceServiceTest, TransportedBlockOfWrongModeOrDimIsRefused) {
+  const InfluenceService fp64 = MakeService(16, 4);
+  ServiceOptions int8_options;
+  int8_options.quantize = QuantMode::kInt8;
+  const InfluenceService int8 = MakeService(16, 4, std::move(int8_options));
+  const SeedBlock fp64_block = GatherSeedBlock(fp64.table(), {1, 2});
+  const SeedBlock int8_block = GatherSeedBlock(int8.table(), {1, 2});
+  const SeedBlock wide_block =
+      GatherSeedBlock(ServingTable(MakeStore(16, 5, 3)), {1, 2});
+  BlockTopKRequest request;
+  request.k = 3;
+
+  // The element type must match the serving table's.
+  for (const auto& [service, block] :
+       {std::pair{&fp64, &int8_block}, std::pair{&int8, &fp64_block}}) {
+    EXPECT_EQ(service->TopKWithBlock(*block, request).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(service->ScoreWithBlock(*block, 3, std::nullopt).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+  // So must the dim, and the arrays must match the seed count.
+  SeedBlock short_rows = fp64_block;
+  std::get<SeedBlock::Fp64Rows>(short_rows.rows).resize(short_rows.stride);
+  for (const SeedBlock* block : {&wide_block, &std::as_const(short_rows)}) {
+    EXPECT_EQ(fp64.TopKWithBlock(*block, request).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(fp64.ScoreWithBlock(*block, 3, std::nullopt).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // A block gathered by a table of the same mode is accepted.
+  EXPECT_TRUE(fp64.TopKWithBlock(fp64_block, request).ok());
+  EXPECT_TRUE(int8.ScoreWithBlock(int8_block, 3, std::nullopt).ok());
 }
 
 TEST(InfluenceServiceTest, BatchMatchesSingleQueryScores) {
@@ -397,7 +433,7 @@ TEST(InfluenceServiceTest, LoadRoundTripsArtifactMetadata) {
   // The artifact's aggregation drives scoring unless options override it.
   EXPECT_EQ(service.value().default_aggregation(), Aggregation::kMax);
   EXPECT_EQ(service.value().metadata().git_sha, "abc123");
-  EXPECT_EQ(service.value().store().num_users(), 24u);
+  EXPECT_EQ(service.value().num_users(), 24u);
   service.value().Warm();
   std::remove(path.c_str());
 }

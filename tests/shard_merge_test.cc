@@ -14,9 +14,12 @@
 
 #include "gtest/gtest.h"
 #include "embedding/model_io.h"
+#include "obs/http_client.h"
 #include "obs/http_server.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "serve/influence_service.h"
+#include "serve/serve_endpoints.h"
 #include "shard/coordinator.h"
 #include "shard/shard_service.h"
 #include "shard/shard_split.h"
@@ -209,6 +212,87 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u),
                        ::testing::Values(false, true)));
 
+/// GET `target` from a loopback server; the parsed body of its 200 answer.
+obs::JsonValue GetJson(uint16_t port, const std::string& target) {
+  obs::HttpClient client(port);
+  obs::HttpClientResponse response;
+  EXPECT_TRUE(client.Get(target, &response, 5000)) << target;
+  EXPECT_EQ(response.status, 200) << target << ": " << response.body;
+  Result<obs::JsonValue> doc = obs::ParseJson(response.body);
+  EXPECT_TRUE(doc.ok()) << target << ": " << response.body;
+  return doc.ok() ? doc.value() : obs::JsonValue::Object();
+}
+
+TEST(ShardHttpTest, LongSeedListsOverHttpMatchSingleNodeBitForBit) {
+  // 120 seeds make a `seeds` value of ~440 bytes, far past any in-object
+  // string buffer: a parser that splits a destroyed temporary answers
+  // garbage here (and fails under ASan).
+  std::string seeds;
+  for (uint32_t i = 0; i < 120; ++i) {
+    seeds += (i == 0 ? "" : ",") + std::to_string(i * 7 % 150);
+  }
+  const std::vector<std::string> topk_queries = {
+      "/topk?seeds=" + seeds + "&k=10",
+      "/topk?seeds=" + seeds + "&k=25&include_seeds=true",
+      "/topk?seeds=" + seeds + "&k=5&aggregation=Max",
+  };
+  for (const bool int8_mode : {false, true}) {
+    SCOPED_TRACE(int8_mode ? "int8" : "fp64");
+    const EmbeddingStore store = MakeTieHeavyStore(150, 6, 37);
+    const std::string model_path = WriteModel(
+        store, std::string("long_seeds_") + (int8_mode ? "q" : "f") + ".i2v");
+    serve::ServiceOptions options;
+    options.quantize =
+        int8_mode ? serve::QuantMode::kInt8 : serve::QuantMode::kNone;
+
+    obs::MetricsRegistry single_registry;
+    Result<serve::InfluenceService> single =
+        serve::InfluenceService::Load(model_path, options, &single_registry);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    obs::StatsServer single_server({}, &single_registry);
+    serve::RegisterServeEndpoints(&single_server, &single.value());
+    ASSERT_TRUE(single_server.Start().ok());
+
+    auto fleet = StartShardFleet(
+        model_path, 3, options,
+        std::string("long_seeds_fleet_") + (int8_mode ? "q" : "f"));
+    obs::MetricsRegistry coord_registry;
+    ShardCoordinator coordinator = ConnectCoordinator(fleet, &coord_registry);
+    obs::StatsServer coord_server({}, &coord_registry);
+    RegisterCoordinatorEndpoints(&coord_server, &coordinator);
+    ASSERT_TRUE(coord_server.Start().ok());
+
+    for (const std::string& query : topk_queries) {
+      SCOPED_TRACE(query.substr(query.size() - 30));
+      const obs::JsonValue merged = GetJson(coord_server.port(), query);
+      const obs::JsonValue expected = GetJson(single_server.port(), query);
+      ASSERT_NE(merged.Find("results"), nullptr);
+      ASSERT_NE(expected.Find("results"), nullptr);
+      EXPECT_EQ(merged.Find("scanned")->AsInt(),
+                expected.Find("scanned")->AsInt());
+      const auto& got = merged.Find("results")->items();
+      const auto& want = expected.Find("results")->items();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].Find("user")->AsInt(), want[i].Find("user")->AsInt())
+            << "rank " << i;
+        EXPECT_EQ(got[i].Find("score")->AsDouble(),
+                  want[i].Find("score")->AsDouble())
+            << "rank " << i;
+      }
+    }
+    for (const char* candidate : {"0", "149"}) {
+      const std::string query =
+          std::string("/score?candidate=") + candidate + "&seeds=" + seeds;
+      EXPECT_EQ(GetJson(coord_server.port(), query).Find("score")->AsDouble(),
+                GetJson(single_server.port(), query).Find("score")->AsDouble())
+          << "candidate " << candidate;
+    }
+    coord_server.Stop();
+    single_server.Stop();
+  }
+}
+
 TEST(ShardDegradationTest, StoppedShardYieldsDegradedPartialRanking) {
   obs::EnableMetrics(true);  // Counter increments are metrics-gated.
   const EmbeddingStore store = MakeTieHeavyStore(48, 4, 19);
@@ -286,6 +370,29 @@ TEST(ShardTopologyTest, MixedModelHashesRefuseToAssemble) {
       ShardCoordinator::Connect(std::move(options));
   ASSERT_FALSE(coordinator.ok());
   EXPECT_EQ(coordinator.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardTopologyTest, MalformedShardzIsRefusedNotFatal) {
+  // A non-integer field in a backend's /shardz is a refusal at Connect,
+  // not an abort of the coordinator process.
+  obs::MetricsRegistry registry;
+  obs::StatsServer fake({}, &registry);
+  fake.Route("GET", "/shardz", [](const obs::HttpRequest&) {
+    return obs::HttpResponse::Json(
+        200,
+        "{\"shard_index\": 0.5, \"num_shards\": 1, \"begin_user\": 0, "
+        "\"end_user\": 10, \"total_users\": 10, \"model_hash\": \"00\", "
+        "\"dim\": 4, \"quantize\": \"none\"}");
+  });
+  ASSERT_TRUE(fake.Start().ok());
+  CoordinatorOptions options;
+  options.backends = {"127.0.0.1:" + std::to_string(fake.port())};
+  options.registry = &registry;
+  Result<ShardCoordinator> coordinator =
+      ShardCoordinator::Connect(std::move(options));
+  ASSERT_FALSE(coordinator.ok());
+  EXPECT_EQ(coordinator.status().code(), StatusCode::kInternal);
+  fake.Stop();
 }
 
 TEST(ShardTopologyTest, IncompleteTilingRefused) {

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 #include "gtest/gtest.h"
 #include "embedding/model_io.h"
 #include "embedding/quantized_store.h"
+#include "obs/http_client.h"
+#include "obs/http_server.h"
 #include "obs/json.h"
 #include "serve/influence_service.h"
 #include "serve/seed_cache.h"
@@ -269,7 +272,8 @@ TEST(ShardSectionTest, ShardServeRejectsWholeModelArtifact) {
 TEST(WireTest, Fp64SeedBlockRoundTripsBitExact) {
   const EmbeddingStore store = MakeStore(12, 5, 10);
   const std::vector<UserId> seeds = {3, 7, 3, 11};
-  serve::SeedBlock block = serve::GatherSeedBlock(store, seeds);
+  serve::SeedBlock block =
+      serve::GatherSeedBlock(serve::ServingTable(store), seeds);
 
   // Through Dump + ParseJson, like the real wire (%.17g round-trips every
   // finite double exactly).
@@ -282,13 +286,15 @@ TEST(WireTest, Fp64SeedBlockRoundTripsBitExact) {
   const serve::SeedBlock& out = decoded.value();
   EXPECT_EQ(out.dim, block.dim);
   EXPECT_EQ(out.stride, block.stride);
-  EXPECT_FALSE(out.quantized);
+  EXPECT_EQ(out.mode(), serve::QuantMode::kNone);
   EXPECT_EQ(out.seeds, block.seeds);
-  ASSERT_EQ(out.sources.size(), block.sources.size());
-  EXPECT_EQ(std::memcmp(out.sources.data(), block.sources.data(),
-                        block.sources.size() * sizeof(double)),
+  const auto& out_rows = std::get<serve::SeedBlock::Fp64Rows>(out.rows);
+  const auto& rows = std::get<serve::SeedBlock::Fp64Rows>(block.rows);
+  ASSERT_EQ(out_rows.size(), rows.size());
+  EXPECT_EQ(std::memcmp(out_rows.data(), rows.data(),
+                        rows.size() * sizeof(double)),
             0);
-  EXPECT_EQ(out.source_biases, block.source_biases);
+  EXPECT_EQ(out.biases, block.biases);
 }
 
 TEST(WireTest, QuantizedSeedBlockRoundTripsBitExact) {
@@ -296,7 +302,8 @@ TEST(WireTest, QuantizedSeedBlockRoundTripsBitExact) {
   const QuantizedEmbeddingStore quantized =
       QuantizedEmbeddingStore::FromStore(store);
   const std::vector<UserId> seeds = {0, 9, 4};
-  serve::SeedBlock block = serve::GatherSeedBlock(quantized, seeds);
+  serve::SeedBlock block =
+      serve::GatherSeedBlock(serve::ServingTable(quantized), seeds);
 
   Result<obs::JsonValue> json =
       obs::ParseJson(SeedBlockToJson(block).Dump(0));
@@ -305,14 +312,14 @@ TEST(WireTest, QuantizedSeedBlockRoundTripsBitExact) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
 
   const serve::SeedBlock& out = decoded.value();
-  EXPECT_TRUE(out.quantized);
-  EXPECT_EQ(out.q_stride, block.q_stride);
-  ASSERT_EQ(out.q_sources.size(), block.q_sources.size());
-  EXPECT_EQ(std::memcmp(out.q_sources.data(), block.q_sources.data(),
-                        block.q_sources.size()),
-            0);
-  EXPECT_EQ(out.q_scales, block.q_scales);
-  EXPECT_EQ(out.q_biases, block.q_biases);
+  EXPECT_EQ(out.mode(), serve::QuantMode::kInt8);
+  EXPECT_EQ(out.stride, block.stride);
+  const auto& out_rows = std::get<serve::SeedBlock::Int8Rows>(out.rows);
+  const auto& rows = std::get<serve::SeedBlock::Int8Rows>(block.rows);
+  ASSERT_EQ(out_rows.size(), rows.size());
+  EXPECT_EQ(std::memcmp(out_rows.data(), rows.data(), rows.size()), 0);
+  EXPECT_EQ(out.scales, block.scales);
+  EXPECT_EQ(out.biases, block.biases);
 }
 
 TEST(WireTest, TopKRequestResponseRoundTrip) {
@@ -322,7 +329,7 @@ TEST(WireTest, TopKRequestResponseRoundTrip) {
   request.aggregation = Aggregation::kMax;
   request.deadline_us = 250000;
   request.exclude = {1, 2, 7};
-  request.block = serve::GatherSeedBlock(store, {1, 2});
+  request.block = serve::GatherSeedBlock(serve::ServingTable(store), {1, 2});
 
   Result<obs::JsonValue> json =
       obs::ParseJson(ShardTopKRequestToJson(request).Dump(0));
@@ -361,10 +368,69 @@ TEST(WireTest, MalformedBlocksRejected) {
 
   // Row length disagreeing with dim.
   const EmbeddingStore store = MakeStore(6, 4, 13);
-  serve::SeedBlock block = serve::GatherSeedBlock(store, {1});
+  serve::SeedBlock block =
+      serve::GatherSeedBlock(serve::ServingTable(store), {1});
   obs::JsonValue json = SeedBlockToJson(block);
   json.Set("dim", 3);
   EXPECT_FALSE(SeedBlockFromJson(json).ok());
+}
+
+// --- Shard endpoints ---
+
+TEST(ShardEndpointsTest, PostTopKRefusesForeignBlocksWithTypedErrors) {
+  const EmbeddingStore full = MakeStore(12, 4, 21);
+  const std::string model_path = TempPath("shard_http_guard.i2v");
+  ASSERT_TRUE(SaveModelArtifact(full, MakeMetadata(4), model_path).ok());
+  const std::string dir = TempPath("shard_http_guard");
+  std::filesystem::create_directories(dir);
+  Result<std::vector<std::string>> paths =
+      SplitModelArtifact(model_path, dir, 2);
+  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  Result<ShardService> shard = ShardService::Load(paths.value()[0], {});
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  obs::MetricsRegistry registry;
+  obs::StatsServer server({}, &registry);
+  RegisterShardEndpoints(&server, &shard.value());
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto post_topk = [&server](const std::string& body) {
+    obs::HttpClient client(server.port());
+    obs::HttpClientResponse response;
+    EXPECT_TRUE(client.Post("/topk", body, &response, 5000));
+    return response;
+  };
+  const auto block_body = [](serve::ServingTable table) {
+    ShardTopKRequest request;
+    request.k = 3;
+    request.block = serve::GatherSeedBlock(table, {1, 2});
+    return ShardTopKRequestToJson(request).Dump(0);
+  };
+  const auto code_of = [](const obs::HttpClientResponse& response) {
+    Result<obs::JsonValue> doc = obs::ParseJson(response.body);
+    const obs::JsonValue* code =
+        doc.ok() ? doc.value().Find("code") : nullptr;
+    return code != nullptr ? code->AsString() : std::string();
+  };
+
+  // The shard serves fp64: an int8 block of the right dim is a mode
+  // mismatch, and a block of another dim is an invalid argument.
+  const obs::HttpClientResponse int8_reply = post_topk(
+      block_body(serve::ServingTable(QuantizedEmbeddingStore::FromStore(full))));
+  EXPECT_EQ(code_of(int8_reply), "FAILED_PRECONDITION") << int8_reply.body;
+  const obs::HttpClientResponse wide_reply =
+      post_topk(block_body(serve::ServingTable(MakeStore(12, 5, 21))));
+  EXPECT_EQ(wide_reply.status, 400) << wide_reply.body;
+  EXPECT_EQ(code_of(wide_reply), "INVALID_ARGUMENT");
+  EXPECT_EQ(post_topk(block_body(serve::ServingTable(full))).status, 200);
+
+  // Wire fields of the wrong JSON kind answer 400 instead of aborting.
+  for (const std::string body :
+       {"{\"k\": 1.5, \"block\": {}}",
+        "{\"k\": 3, \"aggregation\": 7, \"block\": {}}",
+        "{\"k\": 3, \"block\": {\"dim\": 4.5}}"}) {
+    EXPECT_EQ(post_topk(body).status, 400) << body;
+  }
+  server.Stop();
 }
 
 }  // namespace

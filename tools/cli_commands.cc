@@ -786,17 +786,100 @@ Status ParseServeHttpFlags(const FlagParser& flags, ServeHttpFlags* out) {
   return Status::OK();
 }
 
-/// Blocks until SIGINT/SIGTERM/RequestServeStop() or the --max-seconds
-/// cap expires.
-void ServeWaitLoop(int64_t max_seconds) {
-  const auto start = std::chrono::steady_clock::now();
+/// --threads, --deadline-us, --aggregation and --quantize: the service
+/// options `serve` and `serve --shard` share. Also records the quant mode
+/// for /varz.
+Status ParseServiceFlags(const FlagParser& flags,
+                         serve::ServiceOptions* options) {
+  Result<int64_t> threads = flags.GetInt("threads", 1);
+  INF2VEC_RETURN_IF_ERROR(threads.status());
+  if (threads.value() < 0) {
+    return Status::InvalidArgument(
+        "--threads must be >= 0 (0 = all hardware threads)");
+  }
+  options->num_threads = static_cast<uint32_t>(threads.value());
+  Result<int64_t> deadline = flags.GetInt("deadline-us", 0);
+  INF2VEC_RETURN_IF_ERROR(deadline.status());
+  if (deadline.value() < 0) {
+    return Status::InvalidArgument("--deadline-us must be >= 0");
+  }
+  options->default_deadline_us = static_cast<uint64_t>(deadline.value());
+  const std::string aggregation_name = flags.GetString("aggregation", "");
+  if (!aggregation_name.empty()) {
+    Result<Aggregation> aggregation = ParseAggregation(aggregation_name);
+    INF2VEC_RETURN_IF_ERROR(aggregation.status());
+    options->aggregation = aggregation.value();
+  }
+  const std::string quant_name = flags.GetString("quantize", "none");
+  if (!serve::ParseQuantModeName(quant_name, &options->quantize)) {
+    return Status::InvalidArgument("--quantize must be none or int8");
+  }
+  obs::SetServingQuantMode(serve::QuantModeName(options->quantize));
+  return Status::OK();
+}
+
+/// Request observability every serve mode runs with: /rpcz and /tracez
+/// are always live (one map lookup + a ring write per request); the
+/// access log writes only when --access-log names a file. Declared
+/// before the mode's backend (the coordinator keeps &rpcz) and the
+/// server, so they outlive every in-flight request.
+struct ServeObsPlanes {
+  explicit ServeObsPlanes(const ServeHttpFlags& http)
+      : tracez(http.tracez_capacity, http.tracez_capacity,
+               http.slow_trace_us) {}
+
+  obs::RpczRegistry rpcz;
+  obs::TracezBuffer tracez;
+  obs::AccessLog access_log;
+};
+
+/// The lifecycle every serve mode ends in: opens the access log, starts
+/// the StatsServer with request observability, the mode's endpoints
+/// (`add_endpoints`) and /rpcz + /tracez, prints the "serving on" line
+/// the smoke scripts and perfbench parse (`what` fills its parentheses),
+/// then blocks until SIGINT/SIGTERM, RequestServeStop() or the
+/// --max-seconds cap, and stops the server.
+Status ServeUntilStopped(
+    const ServeHttpFlags& http, ServeObsPlanes* planes,
+    const std::function<void(obs::StatsServer*)>& add_endpoints,
+    const std::string& what) {
+  if (!http.access_log_path.empty()) {
+    INF2VEC_RETURN_IF_ERROR(planes->access_log.Open(http.access_log_path));
+    INF2VEC_LOG(Info) << "access log -> " << http.access_log_path;
+  }
+  obs::RequestObservability request_obs;
+  request_obs.rpcz = &planes->rpcz;
+  request_obs.tracez = &planes->tracez;
+  request_obs.access_log =
+      planes->access_log.is_open() ? &planes->access_log : nullptr;
+
+  obs::StatsServerOptions server_options;
+  server_options.port = http.port;
+  server_options.num_workers = http.serve_threads;
+  server_options.max_inflight = http.max_inflight;
+  obs::StatsServer server(server_options);
+  server.SetRequestObservability(request_obs);
+  add_endpoints(&server);
+  obs::RegisterRequestObsEndpoints(&server, &planes->rpcz, &planes->tracez);
+  INF2VEC_RETURN_IF_ERROR(server.Start());
+
+  // stdout, unbuffered: the smoke scripts grep this line for the port.
+  std::printf("serving on http://127.0.0.1:%u (%s)\n", server.port(),
+              what.c_str());
+  std::fflush(stdout);
+
+  const auto serve_start = std::chrono::steady_clock::now();
   while (g_serve_stop == 0) {
-    if (max_seconds > 0 &&
-        SecondsSince(start) >= static_cast<double>(max_seconds)) {
+    if (http.max_seconds > 0 &&
+        SecondsSince(serve_start) >= static_cast<double>(http.max_seconds)) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
+  server.Stop();
+  INF2VEC_LOG(Info) << "serve loop exited after "
+                    << SecondsSince(serve_start) << "s";
+  return Status::OK();
 }
 
 /// `serve --shard`: serve one shard slice. The query surface is the
@@ -807,30 +890,7 @@ Status RunServeShard(const FlagParser& flags) {
   if (model_path.empty()) return Status::InvalidArgument("--model is required");
 
   serve::ServiceOptions options;
-  Result<int64_t> threads = flags.GetInt("threads", 1);
-  INF2VEC_RETURN_IF_ERROR(threads.status());
-  if (threads.value() < 0) {
-    return Status::InvalidArgument(
-        "--threads must be >= 0 (0 = all hardware threads)");
-  }
-  options.num_threads = static_cast<uint32_t>(threads.value());
-  Result<int64_t> deadline = flags.GetInt("deadline-us", 0);
-  INF2VEC_RETURN_IF_ERROR(deadline.status());
-  if (deadline.value() < 0) {
-    return Status::InvalidArgument("--deadline-us must be >= 0");
-  }
-  options.default_deadline_us = static_cast<uint64_t>(deadline.value());
-  const std::string aggregation_name = flags.GetString("aggregation", "");
-  if (!aggregation_name.empty()) {
-    Result<Aggregation> aggregation = ParseAggregation(aggregation_name);
-    INF2VEC_RETURN_IF_ERROR(aggregation.status());
-    options.aggregation = aggregation.value();
-  }
-  const std::string quant_name = flags.GetString("quantize", "none");
-  if (!serve::ParseQuantModeName(quant_name, &options.quantize)) {
-    return Status::InvalidArgument("--quantize must be none or int8");
-  }
-  obs::SetServingQuantMode(serve::QuantModeName(options.quantize));
+  INF2VEC_RETURN_IF_ERROR(ParseServiceFlags(flags, &options));
   ServeHttpFlags http;
   INF2VEC_RETURN_IF_ERROR(ParseServeHttpFlags(flags, &http));
 
@@ -850,44 +910,21 @@ Status RunServeShard(const FlagParser& flags) {
                     << info.num_shards << " of " << model_path << " (users ["
                     << info.begin_user << "," << info.end_user << ") of "
                     << info.total_users << ", dim "
-                    << service.value().service().store().dim()
-                    << ", quantize "
+                    << service.value().service().dim() << ", quantize "
                     << serve::QuantModeName(
                            service.value().service().quant_mode())
                     << ") in " << SecondsSince(load_start) << "s";
 
-  obs::RpczRegistry rpcz;
-  obs::TracezBuffer tracez(http.tracez_capacity, http.tracez_capacity,
-                           http.slow_trace_us);
-  obs::AccessLog access_log;
-  if (!http.access_log_path.empty()) {
-    INF2VEC_RETURN_IF_ERROR(access_log.Open(http.access_log_path));
-    INF2VEC_LOG(Info) << "access log -> " << http.access_log_path;
-  }
-  obs::RequestObservability request_obs;
-  request_obs.rpcz = &rpcz;
-  request_obs.tracez = &tracez;
-  request_obs.access_log = access_log.is_open() ? &access_log : nullptr;
-
-  obs::StatsServerOptions server_options;
-  server_options.port = http.port;
-  server_options.num_workers = http.serve_threads;
-  server_options.max_inflight = http.max_inflight;
-  obs::StatsServer server(server_options);
-  server.SetRequestObservability(request_obs);
-  shard::RegisterShardEndpoints(&server, &service.value());
-  obs::RegisterRequestObsEndpoints(&server, &rpcz, &tracez);
-  INF2VEC_RETURN_IF_ERROR(server.Start());
-
-  // stdout, unbuffered: the smoke script greps this line for the port.
-  std::printf("serving on http://127.0.0.1:%u (shard %u/%u users [%u,%u)"
-              " /gather /topk /score /shardz /modelz /metrics /healthz)\n",
-              server.port(), info.shard_index, info.num_shards,
-              info.begin_user, info.end_user);
-  std::fflush(stdout);
-  ServeWaitLoop(http.max_seconds);
-  server.Stop();
-  return Status::OK();
+  ServeObsPlanes planes(http);
+  return ServeUntilStopped(
+      http, &planes,
+      [&service](obs::StatsServer* server) {
+        shard::RegisterShardEndpoints(server, &service.value());
+      },
+      StrFormat("shard %u/%u users [%u,%u) /gather /topk /score /shardz "
+                "/modelz /metrics /healthz",
+                info.shard_index, info.num_shards, info.begin_user,
+                info.end_user));
 }
 
 /// `serve --coordinator`: the scatter-gather front-end. Connects to every
@@ -923,17 +960,8 @@ Status RunServeCoordinator(const FlagParser& flags) {
   obs::EnableMetrics(true);
   ScopedServeSignalHandlers signal_guard;
 
-  // Declared before the coordinator: it keeps a pointer to rpcz for the
-  // per-backend call rows.
-  obs::RpczRegistry rpcz;
-  obs::TracezBuffer tracez(http.tracez_capacity, http.tracez_capacity,
-                           http.slow_trace_us);
-  obs::AccessLog access_log;
-  if (!http.access_log_path.empty()) {
-    INF2VEC_RETURN_IF_ERROR(access_log.Open(http.access_log_path));
-    INF2VEC_LOG(Info) << "access log -> " << http.access_log_path;
-  }
-  options.rpcz = &rpcz;
+  ServeObsPlanes planes(http);
+  options.rpcz = &planes.rpcz;
   options.registry = &obs::MetricsRegistry::Default();
 
   const auto connect_start = std::chrono::steady_clock::now();
@@ -944,33 +972,18 @@ Status RunServeCoordinator(const FlagParser& flags) {
                     << " shard backends (" << coordinator.value().total_users()
                     << " users, dim " << coordinator.value().dim()
                     << ", quantize "
-                    << (coordinator.value().quantized() ? "int8" : "none")
+                    << serve::QuantModeName(coordinator.value().mode())
                     << ", model " << coordinator.value().model_hash()
                     << ") in " << SecondsSince(connect_start) << "s";
 
-  obs::RequestObservability request_obs;
-  request_obs.rpcz = &rpcz;
-  request_obs.tracez = &tracez;
-  request_obs.access_log = access_log.is_open() ? &access_log : nullptr;
-
-  obs::StatsServerOptions server_options;
-  server_options.port = http.port;
-  server_options.num_workers = http.serve_threads;
-  server_options.max_inflight = http.max_inflight;
-  obs::StatsServer server(server_options);
-  server.SetRequestObservability(request_obs);
-  shard::RegisterCoordinatorEndpoints(&server, &coordinator.value());
-  obs::RegisterRequestObsEndpoints(&server, &rpcz, &tracez);
-  INF2VEC_RETURN_IF_ERROR(server.Start());
-
-  // stdout, unbuffered: the smoke script greps this line for the port.
-  std::printf("serving on http://127.0.0.1:%u (coordinator over %u shards"
-              " /topk /score /shardz /metrics /healthz /rpcz /tracez)\n",
-              server.port(), coordinator.value().num_shards());
-  std::fflush(stdout);
-  ServeWaitLoop(http.max_seconds);
-  server.Stop();
-  return Status::OK();
+  return ServeUntilStopped(
+      http, &planes,
+      [&coordinator](obs::StatsServer* server) {
+        shard::RegisterCoordinatorEndpoints(server, &coordinator.value());
+      },
+      StrFormat("coordinator over %u shards /topk /score /shardz /metrics "
+                "/healthz /rpcz /tracez",
+                coordinator.value().num_shards()));
 }
 
 }  // namespace
@@ -988,54 +1001,15 @@ Status RunServe(const FlagParser& flags) {
     return Status::InvalidArgument("--topk-cache must be >= 0 (0 disables)");
   }
   options.seed_cache_capacity = static_cast<uint32_t>(cache.value());
-  Result<int64_t> threads = flags.GetInt("threads", 1);
-  INF2VEC_RETURN_IF_ERROR(threads.status());
-  if (threads.value() < 0) {
-    return Status::InvalidArgument(
-        "--threads must be >= 0 (0 = all hardware threads)");
-  }
-  options.num_threads = static_cast<uint32_t>(threads.value());
-  Result<int64_t> deadline = flags.GetInt("deadline-us", 0);
-  INF2VEC_RETURN_IF_ERROR(deadline.status());
-  if (deadline.value() < 0) {
-    return Status::InvalidArgument("--deadline-us must be >= 0");
-  }
-  options.default_deadline_us = static_cast<uint64_t>(deadline.value());
-  const std::string aggregation_name = flags.GetString("aggregation", "");
-  if (!aggregation_name.empty()) {
-    Result<Aggregation> aggregation = ParseAggregation(aggregation_name);
-    INF2VEC_RETURN_IF_ERROR(aggregation.status());
-    options.aggregation = aggregation.value();
-  }
-  const std::string quant_name = flags.GetString("quantize", "none");
-  if (!serve::ParseQuantModeName(quant_name, &options.quantize)) {
-    return Status::InvalidArgument("--quantize must be none or int8");
-  }
-  obs::SetServingQuantMode(serve::QuantModeName(options.quantize));
-  Result<int64_t> port_flag = flags.GetInt("port", 0);
-  INF2VEC_RETURN_IF_ERROR(port_flag.status());
-  if (port_flag.value() < 0 || port_flag.value() > 65535) {
-    return Status::InvalidArgument("--port must be in [0, 65535]");
-  }
-  Result<int64_t> max_seconds = flags.GetInt("max-seconds", 0);
-  INF2VEC_RETURN_IF_ERROR(max_seconds.status());
+  INF2VEC_RETURN_IF_ERROR(ParseServiceFlags(flags, &options));
+  ServeHttpFlags http;
+  INF2VEC_RETURN_IF_ERROR(ParseServeHttpFlags(flags, &http));
   const bool watch_model = flags.GetBool("watch-model", false);
   Result<int64_t> watch_interval =
       flags.GetInt("watch-interval-ms", 500);
   INF2VEC_RETURN_IF_ERROR(watch_interval.status());
   if (watch_interval.value() <= 0) {
     return Status::InvalidArgument("--watch-interval-ms must be positive");
-  }
-  const std::string access_log_path = flags.GetString("access-log", "");
-  Result<int64_t> slow_trace_us = flags.GetInt("slow-trace-us", 0);
-  INF2VEC_RETURN_IF_ERROR(slow_trace_us.status());
-  if (slow_trace_us.value() < 0) {
-    return Status::InvalidArgument("--slow-trace-us must be >= 0");
-  }
-  Result<int64_t> tracez_capacity = flags.GetInt("tracez-capacity", 32);
-  INF2VEC_RETURN_IF_ERROR(tracez_capacity.status());
-  if (tracez_capacity.value() <= 0) {
-    return Status::InvalidArgument("--tracez-capacity must be positive");
   }
   Result<int64_t> mem_budget = flags.GetInt("mem-budget-bytes", 0);
   INF2VEC_RETURN_IF_ERROR(mem_budget.status());
@@ -1080,8 +1054,8 @@ Status RunServe(const FlagParser& flags) {
   {
     const auto model = swapper.Acquire();
     INF2VEC_LOG(Info) << "loaded + warmed " << model_path << " ("
-                      << model->service.store().num_users() << " users, dim "
-                      << model->service.store().dim() << ", aggregation "
+                      << model->service.num_users() << " users, dim "
+                      << model->service.dim() << ", aggregation "
                       << AggregationName(
                              model->service.default_aggregation())
                       << ", quantize "
@@ -1091,72 +1065,21 @@ Status RunServe(const FlagParser& flags) {
                       << SecondsSince(load_start) << "s";
   }
 
-  // Request-level observability. /rpcz and /tracez are always live for
-  // serve (their cost is one map lookup + a ring write per request); the
-  // access log only writes when --access-log names a file. Declared
-  // before the server so they outlive every in-flight request.
-  obs::RpczRegistry rpcz;
-  obs::TracezBuffer tracez(
-      static_cast<size_t>(tracez_capacity.value()),
-      static_cast<size_t>(tracez_capacity.value()),
-      static_cast<uint64_t>(slow_trace_us.value()));
-  obs::AccessLog access_log;
-  if (!access_log_path.empty()) {
-    INF2VEC_RETURN_IF_ERROR(access_log.Open(access_log_path));
-    INF2VEC_LOG(Info) << "access log -> " << access_log_path;
-  }
-  obs::RequestObservability request_obs;
-  request_obs.rpcz = &rpcz;
-  request_obs.tracez = &tracez;
-  request_obs.access_log = access_log.is_open() ? &access_log : nullptr;
-
-  Result<int64_t> serve_threads = flags.GetInt("serve-threads", 4);
-  INF2VEC_RETURN_IF_ERROR(serve_threads.status());
-  if (serve_threads.value() <= 0) {
-    return Status::InvalidArgument("--serve-threads must be positive");
-  }
-  Result<int64_t> max_inflight = flags.GetInt("max-inflight", 256);
-  INF2VEC_RETURN_IF_ERROR(max_inflight.status());
-  if (max_inflight.value() <= 0) {
-    return Status::InvalidArgument("--max-inflight must be positive");
-  }
-
-  obs::StatsServerOptions server_options;
-  server_options.port = static_cast<uint16_t>(port_flag.value());
-  server_options.num_workers = static_cast<uint32_t>(serve_threads.value());
-  server_options.max_inflight = static_cast<uint32_t>(max_inflight.value());
-  obs::StatsServer server(server_options);
-  server.SetRequestObservability(request_obs);
-  serve::RegisterServeEndpoints(&server, &swapper);
-  obs::RegisterRequestObsEndpoints(&server, &rpcz, &tracez);
-  obs::RegisterProfilerEndpoint(&server, &obs::CpuProfiler::Default());
-  INF2VEC_RETURN_IF_ERROR(server.Start());
-  if (watch_model) {
-    swapper.StartWatching(static_cast<uint64_t>(watch_interval.value()));
-    INF2VEC_LOG(Info) << "watching " << model_path << " for changes every "
-                      << watch_interval.value() << "ms";
-  }
-
-  // stdout, unbuffered: the smoke script greps this line for the port.
-  std::printf("serving on http://127.0.0.1:%u (/score /topk /modelz "
-              "/reloadz /metrics /healthz /rpcz /tracez /pprofz /memz "
-              "/heapz)\n",
-              server.port());
-  std::fflush(stdout);
-
-  const auto serve_start = std::chrono::steady_clock::now();
-  while (g_serve_stop == 0) {
-    if (max_seconds.value() > 0 &&
-        SecondsSince(serve_start) >= static_cast<double>(max_seconds.value())) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  swapper.StopWatching();
-  server.Stop();
-  INF2VEC_LOG(Info) << "serve loop exited after "
-                    << SecondsSince(serve_start) << "s";
-  return Status::OK();
+  ServeObsPlanes planes(http);
+  return ServeUntilStopped(
+      http, &planes,
+      [&](obs::StatsServer* server) {
+        serve::RegisterServeEndpoints(server, &swapper);
+        obs::RegisterProfilerEndpoint(server, &obs::CpuProfiler::Default());
+        if (watch_model) {
+          swapper.StartWatching(static_cast<uint64_t>(watch_interval.value()));
+          INF2VEC_LOG(Info) << "watching " << model_path
+                            << " for changes every " << watch_interval.value()
+                            << "ms";
+        }
+      },
+      "/score /topk /modelz /reloadz /metrics /healthz /rpcz /tracez "
+      "/pprofz /memz /heapz");
 }
 
 std::string UsageText() {

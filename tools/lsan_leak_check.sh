@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # LeakSanitizer check over the suites that own the big allocations: the
 # serving stack (embedding tables, seed cache, hot-swap double residency),
-# the checkpoint subsystem (writer buffers), and the memory-plane tests
-# themselves (gauges, heap-profiler sample maps). A leak in any of these
+# the shard fleet (wire codecs, scatter-gather fan-out threads, query
+# parsing on the coordinator), the checkpoint subsystem (writer buffers),
+# and the memory-plane tests themselves (gauges, heap-profiler sample
+# maps). A leak in any of these
 # is exactly the bug the byte-accounting plane exists to surface, so the
 # accounting code must itself be leak-clean under the reference tool.
 #
@@ -21,9 +23,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SUITE_LABELS="serve|ckpt|mem"
+SUITE_LABELS="serve|shard|ckpt|mem"
 TARGETS=(serve_test model_swapper_test memory_obs_test heap_profiler_test
-         checkpoint_test incremental_test obs_http_test quantized_store_test)
+         checkpoint_test incremental_test obs_http_test quantized_store_test
+         shard_test shard_merge_test)
 
 if [[ "${1:-}" == "--use-build" ]]; then
   BUILD_DIR="${2:?--use-build needs a directory}"

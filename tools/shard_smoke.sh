@@ -130,9 +130,13 @@ EOF
 
 # Merge equality: for several seed sets and k, the coordinator's merged
 # ranking must equal the single node's answer BIT FOR BIT — same users,
-# same %.17g-serialized scores, same tie order, same scanned count.
+# same %.17g-serialized scores, same tie order, same scanned count. The
+# 120-seed list (~410 bytes, spanning all three shards) exercises query
+# values far longer than any in-object string buffer.
+LONG_SEEDS="$(seq 0 5 595 | awk '{print $1 % 200}' | paste -sd, -)"
 for q in "seeds=2,3&k=5" "seeds=0&k=1" "seeds=66,67,199&k=10" \
-         "seeds=100&k=200" "seeds=5,5,6&k=7"; do
+         "seeds=100&k=200" "seeds=5,5,6&k=7" \
+         "seeds=${LONG_SEEDS}&k=10&include_seeds=true"; do
   fetch "${COORD}/topk?${q}" 200 "${WORKDIR}/coord_topk.json"
   fetch "${SINGLE}/topk?${q}" 200 "${WORKDIR}/single_topk.json"
   python3 - "${WORKDIR}/coord_topk.json" "${WORKDIR}/single_topk.json" \
@@ -151,17 +155,19 @@ done
 
 # Routed /score agrees bitwise too (candidate on each shard's range).
 for c in 1 100 199; do
-  fetch "${COORD}/score?candidate=${c}&seeds=2,3" 200 \
-      "${WORKDIR}/coord_score.json"
-  fetch "${SINGLE}/score?candidate=${c}&seeds=2,3" 200 \
-      "${WORKDIR}/single_score.json"
-  python3 - "${WORKDIR}/coord_score.json" "${WORKDIR}/single_score.json" \
-      <<'EOF'
+  for seeds in "2,3" "${LONG_SEEDS}"; do
+    fetch "${COORD}/score?candidate=${c}&seeds=${seeds}" 200 \
+        "${WORKDIR}/coord_score.json"
+    fetch "${SINGLE}/score?candidate=${c}&seeds=${seeds}" 200 \
+        "${WORKDIR}/single_score.json"
+    python3 - "${WORKDIR}/coord_score.json" "${WORKDIR}/single_score.json" \
+        <<'EOF'
 import json, sys
 coord = json.load(open(sys.argv[1]))
 single = json.load(open(sys.argv[2]))
 assert coord["score"] == single["score"], (coord, single)
 EOF
+  done
 done
 
 # A whole-model artifact must refuse to load in --shard mode, and a
