@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "diffusion/random_walk.h"
-#include "embedding/sgd_trainer.h"
+#include "embedding/sgd_epochs.h"
 #include "obs/metrics.h"
 #include "obs/run_status.h"
 #include "obs/trace.h"
@@ -83,44 +83,25 @@ Result<Node2vecModel> Node2vecModel::Train(const SocialGraph& graph,
   sgd.num_negatives = options.num_negatives;
   sgd.use_biases = false;
 
+  // Serial on the master stream, or Hogwild with one RNG stream per
+  // shard (same scheme as Inf2vecModel::TrainFromCorpus).
   const uint32_t num_threads =
       ThreadPool::ResolveThreadCount(options.num_threads);
-  if (num_threads <= 1) {
-    SgdTrainer trainer(store.get(), &sampler.value(), sgd);
-    for (uint32_t epoch = 0; epoch < options.epochs; ++epoch) {
-      rng.Shuffle(pairs);
-      for (const auto& [u, v] : pairs) {
-        trainer.TrainPair(u, v, rng, /*want_objective=*/false);
-      }
-      RecordNode2vecEpoch(pairs.size());
-    }
-    return Node2vecModel(options, std::move(store));
-  }
-
-  // Hogwild epochs against the shared store, one trainer + RNG stream per
-  // shard (same scheme as Inf2vecModel::TrainFromCorpus).
-  ThreadPool pool(num_threads);
-  std::vector<SgdTrainer> trainers;
   std::vector<Rng> shard_rngs;
-  trainers.reserve(num_threads);
-  shard_rngs.reserve(num_threads);
-  for (uint32_t s = 0; s < num_threads; ++s) {
-    trainers.emplace_back(store.get(), &sampler.value(), sgd);
-    shard_rngs.emplace_back(ThreadPool::ShardSeed(options.seed, s));
+  if (num_threads > 1) {
+    shard_rngs.reserve(num_threads);
+    for (uint32_t s = 0; s < num_threads; ++s) {
+      shard_rngs.emplace_back(ThreadPool::ShardSeed(options.seed, s));
+    }
   }
-  for (uint32_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(pairs);
-    pool.ParallelFor(0, pairs.size(),
-                     [&](uint32_t shard, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                         trainers[shard].TrainPair(pairs[i].first,
-                                                   pairs[i].second,
-                                                   shard_rngs[shard],
-                                                   /*want_objective=*/false);
-                       }
-                     });
-    RecordNode2vecEpoch(pairs.size());
-  }
+  SgdEpochSchedule schedule;
+  schedule.end_epoch = options.epochs;
+  schedule.after_epoch = [](const SgdEpochResult& result) {
+    RecordNode2vecEpoch(result.pairs);
+    return Status::OK();
+  };
+  INF2VEC_RETURN_IF_ERROR(RunSgdEpochs(store.get(), sampler.value(), sgd,
+                                       pairs, rng, shard_rngs, schedule));
   return Node2vecModel(options, std::move(store));
 }
 

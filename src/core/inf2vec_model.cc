@@ -1,10 +1,9 @@
 #include "core/inf2vec_model.h"
 
-#include <algorithm>
 #include <chrono>
-#include <numeric>
 
 #include "diffusion/propagation_network.h"
+#include "embedding/sgd_epochs.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
 #include "obs/run_status.h"
@@ -172,84 +171,34 @@ Status MaybeCheckpoint(const Inf2vecConfig& config, uint32_t epochs_completed,
   return config.checkpoint_callback(view);
 }
 
-/// The SGD epoch loop shared by TrainFromCorpus (start_epoch = 0) and
-/// ResumeFromState. Serial when `shard_rngs` is empty, Hogwild over
-/// shard_rngs.size() workers otherwise. Mutates `pairs` (per-epoch
-/// shuffle), `rng`, `shard_rngs` and the store in place.
-Status RunSgdEpochs(const Inf2vecConfig& config, EmbeddingStore* store,
-                    NegativeSampler* sampler,
-                    std::vector<std::pair<UserId, UserId>>& pairs,
-                    const std::vector<uint64_t>& target_frequencies,
-                    Rng& rng, std::vector<Rng>& shard_rngs,
-                    uint32_t start_epoch,
-                    std::vector<double>* epoch_objective) {
+/// The SGD epochs shared by TrainFromCorpus (start_epoch = 0) and
+/// ResumeFromState: the shared RunSgdEpochs loop, with the epoch bookkeeping
+/// and the checkpoint hook after each epoch. Serial when `shard_rngs` is
+/// empty, Hogwild over shard_rngs.size() workers otherwise. Mutates
+/// `pairs` (per-epoch shuffle), `rng`, `shard_rngs` and the store in
+/// place.
+Status TrainInf2vecEpochs(const Inf2vecConfig& config, EmbeddingStore* store,
+                          const NegativeSampler& sampler,
+                          std::vector<std::pair<UserId, UserId>>& pairs,
+                          const std::vector<uint64_t>& target_frequencies,
+                          Rng& rng, std::vector<Rng>& shard_rngs,
+                          uint32_t start_epoch,
+                          std::vector<double>* epoch_objective) {
   const bool want_objective =
       epoch_objective != nullptr || static_cast<bool>(config.epoch_callback);
-  if (shard_rngs.empty()) {
-    // Serial reference path: identical RNG stream and update order to the
-    // pre-parallel implementation, hence bit-for-bit reproducible.
-    SgdTrainer trainer(store, sampler, config.sgd);
-    for (uint32_t epoch = start_epoch; epoch < config.epochs; ++epoch) {
-      const auto epoch_start = std::chrono::steady_clock::now();
-      double objective_sum = 0.0;
-      {
-        obs::TraceSpan span("sgd.epoch", "train");
-        if (config.shuffle_pairs) rng.Shuffle(pairs);
-        for (const auto& [u, v] : pairs) {
-          objective_sum += trainer.TrainPair(u, v, rng, want_objective);
-        }
-      }
-      FinishEpoch(config, epoch, pairs.size(), objective_sum, want_objective,
-                  SecondsSince(epoch_start), epoch_objective);
-      INF2VEC_RETURN_IF_ERROR(MaybeCheckpoint(config, epoch + 1, store,
-                                              &pairs, &target_frequencies,
-                                              rng, shard_rngs));
-    }
-    return Status::OK();
-  }
-
-  // Hogwild epochs: each epoch statically partitions the shuffled pair
-  // vector across the pool; workers own their SgdTrainer (scratch buffers)
-  // and RNG stream but share the EmbeddingStore lock-free. The shuffle
-  // stays on the master rng so the pair sequence matches the serial path.
-  const uint32_t num_threads = static_cast<uint32_t>(shard_rngs.size());
-  ThreadPool pool(num_threads);
-  std::vector<SgdTrainer> trainers;
-  trainers.reserve(num_threads);
-  for (uint32_t s = 0; s < num_threads; ++s) {
-    trainers.emplace_back(store, sampler, config.sgd);
-  }
-  std::vector<double> shard_objective(num_threads, 0.0);
-
-  for (uint32_t epoch = start_epoch; epoch < config.epochs; ++epoch) {
-    const auto epoch_start = std::chrono::steady_clock::now();
-    {
-      obs::TraceSpan span("sgd.epoch", "train");
-      if (config.shuffle_pairs) rng.Shuffle(pairs);
-      std::fill(shard_objective.begin(), shard_objective.end(), 0.0);
-      pool.ParallelFor(0, pairs.size(),
-                       [&](uint32_t shard, size_t begin, size_t end) {
-                         SgdTrainer& trainer = trainers[shard];
-                         Rng& shard_rng = shard_rngs[shard];
-                         double sum = 0.0;
-                         for (size_t i = begin; i < end; ++i) {
-                           sum += trainer.TrainPair(pairs[i].first,
-                                                    pairs[i].second,
-                                                    shard_rng,
-                                                    want_objective);
-                         }
-                         shard_objective[shard] = sum;
-                       });
-    }
-    const double total = std::accumulate(shard_objective.begin(),
-                                         shard_objective.end(), 0.0);
-    FinishEpoch(config, epoch, pairs.size(), total, want_objective,
-                SecondsSince(epoch_start), epoch_objective);
-    INF2VEC_RETURN_IF_ERROR(MaybeCheckpoint(config, epoch + 1, store, &pairs,
-                                            &target_frequencies, rng,
-                                            shard_rngs));
-  }
-  return Status::OK();
+  SgdEpochSchedule schedule;
+  schedule.begin_epoch = start_epoch;
+  schedule.end_epoch = config.epochs;
+  schedule.shuffle_pairs = config.shuffle_pairs;
+  schedule.want_objective = want_objective;
+  schedule.after_epoch = [&](const SgdEpochResult& result) {
+    FinishEpoch(config, result.epoch, result.pairs, result.objective_sum,
+                want_objective, result.seconds, epoch_objective);
+    return MaybeCheckpoint(config, result.epoch + 1, store, &pairs,
+                           &target_frequencies, rng, shard_rngs);
+  };
+  return RunSgdEpochs(store, sampler, config.sgd, pairs, rng, shard_rngs,
+                      schedule);
 }
 
 }  // namespace
@@ -300,10 +249,9 @@ Result<Inf2vecModel> Inf2vecModel::TrainFromCorpus(
       shard_rngs.emplace_back(ThreadPool::ShardSeed(config.seed, s));
     }
   }
-  INF2VEC_RETURN_IF_ERROR(RunSgdEpochs(config, store.get(), &sampler.value(),
-                                       pairs, corpus.target_frequencies, rng,
-                                       shard_rngs, /*start_epoch=*/0,
-                                       epoch_objective));
+  INF2VEC_RETURN_IF_ERROR(TrainInf2vecEpochs(
+      config, store.get(), sampler.value(), pairs, corpus.target_frequencies,
+      rng, shard_rngs, /*start_epoch=*/0, epoch_objective));
   return Inf2vecModel(config, std::move(store));
 }
 
@@ -367,8 +315,8 @@ Result<Inf2vecModel> Inf2vecModel::ResumeFromState(
   }
 
   Rng rng = Rng::FromState(state.master_rng);
-  INF2VEC_RETURN_IF_ERROR(RunSgdEpochs(
-      config, store.get(), &sampler.value(), state.corpus.pairs,
+  INF2VEC_RETURN_IF_ERROR(TrainInf2vecEpochs(
+      config, store.get(), sampler.value(), state.corpus.pairs,
       state.corpus.target_frequencies, rng, shard_rngs,
       state.epochs_completed, epoch_objective));
   return Inf2vecModel(config, std::move(store));

@@ -23,13 +23,18 @@ double SgdTrainer::SigmoidOf(double z) const {
                                     : SigmoidTable::Exact(z);
 }
 
-INF2VEC_NO_SANITIZE_THREAD
 double SgdTrainer::TrainPair(UserId u, UserId v, Rng& rng,
+                             bool want_objective) {
+  sampler_->SampleMany(rng, u, v, options_.num_negatives, &negatives_);
+  return TrainPair(u, v, negatives_, want_objective);
+}
+
+INF2VEC_NO_SANITIZE_THREAD
+double SgdTrainer::TrainPair(UserId u, UserId v,
+                             std::span<const UserId> negatives,
                              bool want_objective) {
   const uint32_t dim = store_->dim();
   const double lr = options_.learning_rate;
-
-  sampler_->SampleMany(rng, u, v, options_.num_negatives, &negatives_);
 
   // Accumulate dL/dS_u across the positive and all negatives, applying it
   // once at the end (Eq. 6 evaluates every term at the current S_u). Each
@@ -54,7 +59,7 @@ double SgdTrainer::TrainPair(UserId u, UserId v, Rng& rng,
     }
   }
 
-  for (UserId w : negatives_) {  // Negative terms: coefficient -sigma(z_w).
+  for (UserId w : negatives) {  // Negative terms: coefficient -sigma(z_w).
     const double z = store_->Score(u, w);
     if (want_objective) objective += std::log(SigmoidTable::Exact(-z));
     const double coeff = -SigmoidOf(z);

@@ -2,6 +2,7 @@
 #define INF2VEC_EMBEDDING_SGD_TRAINER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "embedding/embedding_store.h"
@@ -51,6 +52,12 @@ class SgdTrainer {
   /// when a negative is drawn more than once in the same call the later
   /// objective term sees the earlier micro-update.
   double TrainPair(UserId u, UserId v, Rng& rng, bool want_objective = true);
+
+  /// The Eq. 6 step of TrainPair with the negatives already drawn (the
+  /// other overload is SampleMany followed by this one). RunSgdEpochs
+  /// draws a pair's negatives one pair early and trains through here.
+  double TrainPair(UserId u, UserId v, std::span<const UserId> negatives,
+                   bool want_objective);
 
   /// Objective of Eq. 4 for a pair without updating (used by tests and
   /// convergence monitors); negatives supplied by the caller.

@@ -198,6 +198,7 @@ class InfluenceService {
   const ModelMetadata& metadata() const { return metadata_; }
   QuantMode quant_mode() const { return table_.mode(); }
   Aggregation default_aggregation() const { return default_aggregation_; }
+  uint32_t max_seeds() const { return options_.max_seeds; }
   const std::string& model_path() const { return model_path_; }
 
   const SeedBlockCache& seed_cache() const { return *cache_; }

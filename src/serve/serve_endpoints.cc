@@ -343,6 +343,8 @@ int HttpCodeFor(const Status& status) {
       return 400;
     case StatusCode::kNotFound:
       return 404;
+    case StatusCode::kFailedPrecondition:
+      return 409;
     case StatusCode::kDeadlineExceeded:
       return 504;
     default:

@@ -17,7 +17,9 @@ namespace inf2vec {
 namespace serve {
 
 /// Maps a query-path Status to its HTTP code: InvalidArgument -> 400,
-/// NotFound -> 404, DeadlineExceeded -> 504, anything else -> 500.
+/// NotFound -> 404, FailedPrecondition -> 409 (a request the serving
+/// state refuses: a foreign seed block, a reload over the memory budget),
+/// DeadlineExceeded -> 504, anything else -> 500.
 int HttpCodeFor(const Status& status);
 
 /// Ranked entries as the JSON array every /topk answer carries:

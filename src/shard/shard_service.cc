@@ -94,6 +94,15 @@ void RegisterShardEndpoints(obs::StatsServer* server,
       return ErrorResponse(
           Status::InvalidArgument("gather request missing 'seeds'"));
     }
+    // The answer grows with the seed count, so bound it like every query
+    // path before converting a single id.
+    const uint32_t max_seeds = shard->service().max_seeds();
+    if (seeds_v->kind() == JsonValue::Kind::kArray &&
+        seeds_v->size() > max_seeds) {
+      return ErrorResponse(Status::InvalidArgument(
+          StrFormat("gather seed set too large: %zu > max %u",
+                    seeds_v->size(), max_seeds)));
+    }
     Result<std::vector<UserId>> seeds = UserIdsFromJson(*seeds_v, "seeds");
     if (!seeds.ok()) return ErrorResponse(seeds.status());
     if (seeds.value().empty()) {

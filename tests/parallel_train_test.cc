@@ -159,6 +159,57 @@ TEST(ParallelTrainTest, HogwildObjectiveMatchesSerialWithinTolerance) {
       << "serial " << serial_final << " vs hogwild " << hogwild_final;
 }
 
+TEST(ParallelTrainTest, HogwildShardRngsDrawExactlyTheirRangesNegatives) {
+  // Each Hogwild worker draws the negatives of its own ParallelFor range
+  // and nothing past it, so the shard RNG states a checkpoint stores equal
+  // a replay of SampleMany over those ranges from the ShardSeed streams.
+  const synth::World world = QuickstartWorld(37);
+  Inf2vecConfig config;
+  config.dim = 8;
+  config.epochs = 2;
+  config.context.length = 8;
+  config.seed = 77;
+  config.num_threads = 4;
+  const InfluenceCorpus corpus = BuildInfluenceCorpus(
+      world.graph, world.log, config.context, world.graph.num_users(),
+      CorpusBuildOptions{.seed = 8});
+
+  std::vector<std::pair<UserId, UserId>> epoch1_pairs;
+  std::vector<RngState> epoch1_shard_rngs;
+  config.checkpoint_callback = [&](const TrainCheckpointView& view) {
+    if (view.epochs_completed == 1) {
+      epoch1_pairs = *view.pairs;
+      epoch1_shard_rngs = view.shard_rngs;
+    }
+    return Status::OK();
+  };
+  ASSERT_TRUE(Inf2vecModel::TrainFromCorpus(corpus, world.graph.num_users(),
+                                            config, nullptr)
+                  .ok());
+  ASSERT_EQ(epoch1_shard_rngs.size(), 4u);
+  ASSERT_EQ(epoch1_pairs.size(), corpus.pairs.size());
+
+  Result<NegativeSampler> sampler = NegativeSampler::Create(
+      config.negative_kind, world.graph.num_users(),
+      corpus.target_frequencies);
+  ASSERT_TRUE(sampler.ok());
+  std::vector<std::pair<size_t, size_t>> ranges(4);
+  ThreadPool(4).ParallelFor(0, epoch1_pairs.size(),
+                            [&](uint32_t shard, size_t begin, size_t end) {
+                              ranges[shard] = {begin, end};
+                            });
+  std::vector<UserId> negatives;
+  for (uint32_t s = 0; s < 4; ++s) {
+    Rng replay(ThreadPool::ShardSeed(config.seed, s));
+    for (size_t i = ranges[s].first; i < ranges[s].second; ++i) {
+      sampler.value().SampleMany(replay, epoch1_pairs[i].first,
+                                 epoch1_pairs[i].second,
+                                 config.sgd.num_negatives, &negatives);
+    }
+    EXPECT_EQ(replay.state(), epoch1_shard_rngs[s]) << "shard " << s;
+  }
+}
+
 TEST(ParallelTrainTest, EndToEndParallelTrainingLearnsFiniteEmbeddings) {
   const synth::World world = QuickstartWorld(35);
   Inf2vecConfig config;

@@ -125,6 +125,29 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(shuffled, items);
 }
 
+TEST(RngTest, ShuffleMatchesPlainFisherYatesAcrossTheLookahead) {
+  // Shuffle draws its swap indices ahead of use; the draws, the
+  // permutation and the final state must equal the textbook loop's for
+  // sizes below, at and above the look-ahead depth.
+  const size_t depth = Rng::kShuffleLookahead;
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                         depth - 1, depth, depth + 1, size_t{100000}}) {
+    std::vector<std::pair<uint32_t, uint32_t>> items(n);
+    for (size_t i = 0; i < n; ++i) {
+      items[i] = {static_cast<uint32_t>(i), static_cast<uint32_t>(n - i)};
+    }
+    std::vector<std::pair<uint32_t, uint32_t>> expected = items;
+    Rng rng(1000 + n);
+    Rng reference(1000 + n);
+    rng.Shuffle(items);
+    for (size_t i = n; i > 1; --i) {
+      std::swap(expected[i - 1], expected[reference.UniformU64(i)]);
+    }
+    EXPECT_EQ(items, expected) << "n = " << n;
+    EXPECT_EQ(rng.state(), reference.state()) << "n = " << n;
+  }
+}
+
 TEST(RngTest, SampleWithoutReplacementSizesAndUniqueness) {
   Rng rng(53);
   std::vector<int> items(50);

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "baselines/node2vec.h"
 #include "embedding/embedding_store.h"
 #include "embedding/negative_sampler.h"
 #include "embedding/sgd_trainer.h"
@@ -33,6 +34,12 @@ constexpr uint64_t kGoldenObjectiveBits = 0xc094e5e92d52b28cull;
 constexpr uint64_t kGoldenScore311Bits = 0xbfc158413870429aull;
 constexpr uint64_t kGoldenS50Bits = 0x3fb19680325bd461ull;
 constexpr uint64_t kGoldenT1712Bits = 0xbf7b0e8065489d38ull;
+
+// Captured from the serial Node2vec trainer before it moved onto the
+// shared SGD epoch loop, RunSgdEpochs (walk corpus, per-epoch shuffle and
+// every negative draw on one RNG). Same rule: do not regenerate casually.
+constexpr uint32_t kGoldenNode2vecCrc = 0x11210bfcu;
+constexpr uint64_t kGoldenNode2vecScore29Bits = 0xc0009572ad7cccaeull;
 
 uint64_t Bits(double x) {
   uint64_t b;
@@ -102,6 +109,38 @@ TEST_F(ScalarReferenceTest, TrainingReproducesPreKernelBitsExactly) {
   EXPECT_EQ(Bits(store.Score(3, 11)), kGoldenScore311Bits);
   EXPECT_EQ(Bits(store.Source(5)[0]), kGoldenS50Bits);
   EXPECT_EQ(Bits(store.Target(17)[12]), kGoldenT1712Bits);
+}
+
+TEST_F(ScalarReferenceTest, Node2vecSerialTrainingReproducesPinnedBits) {
+  // A 24-user ring with one chord per user: every node has a usable walk,
+  // and the unigram^0.75 sampler sees uneven context frequencies.
+  GraphBuilder builder(kUsers);
+  for (UserId u = 0; u < kUsers; ++u) {
+    builder.AddUndirectedEdge(u, (u + 1) % kUsers);
+    const UserId chord = (u * 5 + 2) % kUsers;
+    if (chord != u) builder.AddEdge(u, chord);
+  }
+  Result<SocialGraph> graph = builder.Build();
+  ASSERT_TRUE(graph.ok());
+
+  Node2vecOptions options;
+  options.dim = kDim;
+  options.walks_per_node = 3;
+  options.walk_length = 10;
+  options.window = 3;
+  options.return_param = 0.5;
+  options.inout_param = 2.0;
+  options.epochs = 2;
+  options.seed = 11;
+  options.num_threads = 1;
+  Result<Node2vecModel> model = Node2vecModel::Train(graph.value(), options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  const EmbeddingStore& store = model.value().embeddings();
+  EXPECT_EQ(StoreCrc(store), kGoldenNode2vecCrc)
+      << std::hex << "0x" << StoreCrc(store);
+  EXPECT_EQ(Bits(store.Score(2, 9)), kGoldenNode2vecScore29Bits)
+      << std::hex << "0x" << Bits(store.Score(2, 9));
 }
 
 TEST_F(ScalarReferenceTest, PaddedStorageDoesNotChangeRngDrawOrder) {

@@ -453,6 +453,7 @@ TEST(ServeEndpointsTest, HttpCodeMappingCoversTheStatusVocabulary) {
   EXPECT_EQ(HttpCodeFor(Status::InvalidArgument("x")), 400);
   EXPECT_EQ(HttpCodeFor(Status::NotFound("x")), 404);
   EXPECT_EQ(HttpCodeFor(Status::DeadlineExceeded("x")), 504);
+  EXPECT_EQ(HttpCodeFor(Status::FailedPrecondition("x")), 409);
   EXPECT_EQ(HttpCodeFor(Status::Internal("x")), 500);
   EXPECT_EQ(HttpCodeFor(Status::IOError("x")), 500);
 }

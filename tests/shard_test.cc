@@ -416,6 +416,7 @@ TEST(ShardEndpointsTest, PostTopKRefusesForeignBlocksWithTypedErrors) {
   // mismatch, and a block of another dim is an invalid argument.
   const obs::HttpClientResponse int8_reply = post_topk(
       block_body(serve::ServingTable(QuantizedEmbeddingStore::FromStore(full))));
+  EXPECT_EQ(int8_reply.status, 409) << int8_reply.body;
   EXPECT_EQ(code_of(int8_reply), "FAILED_PRECONDITION") << int8_reply.body;
   const obs::HttpClientResponse wide_reply =
       post_topk(block_body(serve::ServingTable(MakeStore(12, 5, 21))));
@@ -430,6 +431,40 @@ TEST(ShardEndpointsTest, PostTopKRefusesForeignBlocksWithTypedErrors) {
         "{\"k\": 3, \"block\": {\"dim\": 4.5}}"}) {
     EXPECT_EQ(post_topk(body).status, 400) << body;
   }
+  server.Stop();
+}
+
+TEST(ShardEndpointsTest, PostGatherRefusesMoreSeedsThanMaxSeeds) {
+  const EmbeddingStore full = MakeStore(12, 4, 22);
+  const std::string model_path = TempPath("shard_gather_cap.i2v");
+  ASSERT_TRUE(SaveModelArtifact(full, MakeMetadata(4), model_path).ok());
+  const std::string dir = TempPath("shard_gather_cap");
+  std::filesystem::create_directories(dir);
+  Result<std::vector<std::string>> paths =
+      SplitModelArtifact(model_path, dir, 2);
+  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  serve::ServiceOptions options;
+  options.max_seeds = 3;
+  Result<ShardService> shard = ShardService::Load(paths.value()[0], options);
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  obs::MetricsRegistry registry;
+  obs::StatsServer server({}, &registry);
+  RegisterShardEndpoints(&server, &shard.value());
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto post_gather = [&server](const std::string& body) {
+    obs::HttpClient client(server.port());
+    obs::HttpClientResponse response;
+    EXPECT_TRUE(client.Post("/gather", body, &response, 5000));
+    return response;
+  };
+  // Repeating one owned id is how a small body asks for a large answer:
+  // max_seeds of them gather, one more is refused before any row is read.
+  EXPECT_EQ(post_gather("{\"seeds\": [1, 1, 1]}").status, 200);
+  const obs::HttpClientResponse over = post_gather("{\"seeds\": [1, 1, 1, 1]}");
+  EXPECT_EQ(over.status, 400) << over.body;
+  EXPECT_NE(over.body.find("INVALID_ARGUMENT"), std::string::npos)
+      << over.body;
   server.Stop();
 }
 
