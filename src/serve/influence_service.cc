@@ -54,6 +54,7 @@ InfluenceService::InfluenceService(ModelArtifact artifact,
 
   score_requests_ = registry->GetCounter("serve.score.requests");
   topk_requests_ = registry->GetCounter("serve.topk.requests");
+  topk_rescored_ = registry->GetCounter("serve.topk.rescored");
   batch_requests_ = registry->GetCounter("serve.batch.requests");
   batch_items_ = registry->GetCounter("serve.batch.items");
   errors_ = registry->GetCounter("serve.errors");
@@ -258,13 +259,23 @@ Result<TopKResult> InfluenceService::ScanTopK(
   // Cache-blocked scan: the gathered seed block stays hot while target
   // rows stream through, `scan_block` targets between deadline checks.
   // The table scores a whole block of candidates per call; a bounded
-  // heap keeps the k current winners with the weakest on top.
+  // heap keeps the k current winners with the weakest on top. Under Ave
+  // and Sum on an fp64 table the block call computes screen scores
+  // instead, one centroid dot per candidate, and only a candidate whose
+  // screen score could still beat the heap's k-th is scored exactly
+  // (ServingTable::MakeScreen), so the heap sees the same exact scores.
   const uint32_t users = num_users();
+  const std::optional<CentroidScreen> screen =
+      table_.MakeScreen(block, aggregation);
   std::vector<double> scores(
       std::min<uint64_t>(options_.scan_block, users));
   std::vector<TopKEntry> heap;
   heap.reserve(k);
   TopKResult result;
+  uint64_t rescored = 0;
+  // The request's own span (a /topk handler's root) gets the scan
+  // counts too: the access log keeps only root attributes.
+  obs::TraceSpan* const request_span = obs::TraceSpan::Current();
   {
     obs::TraceSpan span("kernel_scan", "serve");
     span.SetAttr("seed_count", num_seeds);
@@ -278,7 +289,11 @@ Result<TopKResult> InfluenceService::ScanTopK(
       }
       const uint32_t end =
           std::min<uint64_t>(users, uint64_t{begin} + options_.scan_block);
-      table_.ScoreRange(block, aggregation, begin, end, scores.data());
+      if (screen.has_value()) {
+        table_.ScreenRange(*screen, begin, end, scores.data());
+      } else {
+        table_.ScoreRange(block, aggregation, begin, end, scores.data());
+      }
       for (uint32_t v = begin; v < end; ++v) {
         while (next_excluded < excluded.size() &&
                excluded[next_excluded] < v) {
@@ -289,7 +304,15 @@ Result<TopKResult> InfluenceService::ScanTopK(
           continue;
         }
         ++result.scanned;
-        const TopKEntry entry{v, scores[v - begin]};
+        TopKEntry entry{v, scores[v - begin]};
+        if (screen.has_value()) {
+          if (heap.size() == k &&
+              screen->Prunes(entry.score, heap.front().score)) {
+            continue;
+          }
+          entry.score = table_.Score(block, v, aggregation);
+          ++rescored;
+        }
         if (heap.size() < k) {
           heap.push_back(entry);
           std::push_heap(heap.begin(), heap.end(), BetterThan);
@@ -300,7 +323,20 @@ Result<TopKResult> InfluenceService::ScanTopK(
         }
       }
     }
+    // Server-side dots: one per candidate and scored seed without the
+    // screen; one per candidate plus the rescored candidates' with it.
+    const uint64_t seed_dots =
+        aggregation == Aggregation::kLatest ? 1 : num_seeds;
+    const uint64_t dots = screen.has_value() ? users + rescored * seed_dots
+                                             : uint64_t{users} * seed_dots;
+    for (obs::TraceSpan* annotated : {&span, request_span}) {
+      if (annotated == nullptr) continue;
+      annotated->SetAttr("screened", screen.has_value());
+      annotated->SetAttr("rescored", rescored);
+      annotated->SetAttr("dots", dots);
+    }
   }
+  if (obs::MetricsEnabled()) topk_rescored_->Increment(rescored);
 
   {
     obs::TraceSpan span("merge", "serve");

@@ -96,7 +96,8 @@ struct TopKResult {
   /// Descending score; ties broken by ascending user id.
   std::vector<TopKEntry> entries;
   bool cache_hit = false;
-  /// Candidates scored (num_users minus excluded seeds).
+  /// Candidates ranked, by exact score or by the screen (num_users
+  /// minus excluded seeds).
   uint64_t scanned = 0;
   /// True when this result was shared from another request's in-flight
   /// scan (serve::TopKBatcher single-flight coalescing), not scanned for
@@ -271,6 +272,7 @@ class InfluenceService {
   // Metric handles (registry-owned; valid for the registry's lifetime).
   obs::Counter* score_requests_;
   obs::Counter* topk_requests_;
+  obs::Counter* topk_rescored_;  // Candidates scored exactly behind the screen.
   obs::Counter* batch_requests_;
   obs::Counter* batch_items_;
   obs::Counter* errors_;

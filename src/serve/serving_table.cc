@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <type_traits>
 
 #include "kernels/kernels.h"
@@ -33,21 +34,33 @@ using FormatOf = Format<std::decay_t<Store>>;
 thread_local std::vector<double> t_terms;   // Eq. 7 terms x(u, v).
 thread_local std::vector<int32_t> t_idots;  // Integer dots (int8 rows).
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The first seed whose term `aggregation` reads: Latest keeps only the
+/// last one. Each term is computed on its own, so skipping the others
+/// changes no bit of the result.
+size_t FirstScoredSeed(const SeedBlock& block, Aggregation aggregation) {
+  return aggregation == Aggregation::kLatest ? block.num_seeds() - 1 : 0;
+}
+
 /// fp64 rows. kernels::SeedScan produces each per-seed dot bit-identical
 /// to kernels::Dot on the active backend, and the bias adds keep the
 /// historical association (dot + b_u) + b~_v.
 void ScoreRows(const EmbeddingStore& store, const SeedBlock& block,
                Aggregation aggregation, UserId begin, UserId end,
                double* out) {
-  const size_t num_seeds = block.num_seeds();
-  t_terms.resize(num_seeds);
-  const double* rows = std::get<SeedBlock::Fp64Rows>(block.rows).data();
+  const size_t first = FirstScoredSeed(block, aggregation);
+  const size_t num_terms = block.num_seeds() - first;
+  t_terms.resize(num_terms);
+  const double* rows =
+      std::get<SeedBlock::Fp64Rows>(block.rows).data() + first * block.stride;
+  const double* biases = block.biases.data() + first;
   for (UserId v = begin; v < end; ++v) {
-    kernels::SeedScan(rows, num_seeds, block.stride, store.Target(v).data(),
+    kernels::SeedScan(rows, num_terms, block.stride, store.Target(v).data(),
                       block.dim, t_terms.data());
     const double target_bias = store.target_bias(v);
-    for (size_t i = 0; i < num_seeds; ++i) {
-      t_terms[i] = t_terms[i] + block.biases[i] + target_bias;
+    for (size_t i = 0; i < num_terms; ++i) {
+      t_terms[i] = t_terms[i] + biases[i] + target_bias;
     }
     out[v - begin] = Aggregate(aggregation, t_terms);
   }
@@ -59,21 +72,78 @@ void ScoreRows(const EmbeddingStore& store, const SeedBlock& block,
 void ScoreRows(const QuantizedEmbeddingStore& store, const SeedBlock& block,
                Aggregation aggregation, UserId begin, UserId end,
                double* out) {
-  const size_t num_seeds = block.num_seeds();
-  t_terms.resize(num_seeds);
-  t_idots.resize(num_seeds);
-  const int8_t* rows = std::get<SeedBlock::Int8Rows>(block.rows).data();
+  const size_t first = FirstScoredSeed(block, aggregation);
+  const size_t num_terms = block.num_seeds() - first;
+  t_terms.resize(num_terms);
+  t_idots.resize(num_terms);
+  const int8_t* rows =
+      std::get<SeedBlock::Int8Rows>(block.rows).data() + first * block.stride;
+  const double* scales = block.scales.data() + first;
+  const double* biases = block.biases.data() + first;
   for (UserId v = begin; v < end; ++v) {
-    kernels::SeedScanI8(rows, num_seeds, block.stride,
+    kernels::SeedScanI8(rows, num_terms, block.stride,
                         store.Target(v).data(), block.dim, t_idots.data());
-    for (size_t i = 0; i < num_seeds; ++i) {
+    for (size_t i = 0; i < num_terms; ++i) {
       t_terms[i] = QuantizedEmbeddingStore::DequantScore(
-          static_cast<float>(block.scales[i]), store.target_scale(v),
-          t_idots[i], static_cast<float>(block.biases[i]),
-          store.target_bias(v));
+          static_cast<float>(scales[i]), store.target_scale(v), t_idots[i],
+          static_cast<float>(biases[i]), store.target_bias(v));
     }
     out[v - begin] = Aggregate(aggregation, t_terms);
   }
+}
+
+/// |x|, or +inf when x is not finite.
+double AbsOrInf(double x) {
+  const double a = std::fabs(x);
+  return a <= std::numeric_limits<double>::max() ? a : kInf;
+}
+
+/// ‖x‖₂ rounded up; +inf when an element is not finite.
+double NormUpperBound(const double* x, uint32_t n) {
+  // A finite sum of squares had no square overflow, and squares that
+  // underflowed move a sum this large by far less than one rounding.
+  const double squares = kernels::Dot(x, x, n);
+  if (squares >= 0x1p-900 && squares <= std::numeric_limits<double>::max()) {
+    return std::nextafter(std::sqrt(squares), kInf);
+  }
+  // Otherwise rescale: with m = max|x_k|, ‖x‖₂ = m·‖x/m‖₂ and each
+  // (x_k/m)² lies in [0, 1], so no square overflows or matters when it
+  // underflows.
+  double m = 0.0;
+  for (uint32_t k = 0; k < n; ++k) m = std::max(m, AbsOrInf(x[k]));
+  if (m == 0.0 || m == kInf) return m;
+  double sum = 0.0;
+  for (uint32_t k = 0; k < n; ++k) {
+    const double r = x[k] / m;
+    sum += r * r;
+  }
+  return std::nextafter(m * std::sqrt(sum), kInf);
+}
+
+/// The screen's certified bound; docs/ALGORITHMS.md ("Exact centroid
+/// screen") derives it. `seed_norms` is the sum of ‖S_u‖ and
+/// `seed_biases` the sum of |b_u| over the n seeds; `max_norm` and
+/// `max_bias` are the table's max ‖T_v‖ and max |b~_v|. +inf when an
+/// intermediate of the exact path or the screen could overflow.
+double ScreenEpsilon(bool average, size_t n, uint32_t dim, double seed_norms,
+                     double seed_biases, double max_norm, double max_bias) {
+  const double count = static_cast<double>(n);
+  // Sum-form magnitude: bounds every partial sum of both paths (and is
+  // NaN or +inf when an input is not finite).
+  const double total = seed_norms * max_norm + seed_biases + count * max_bias;
+  if (!(4.0 * (total + seed_norms) <= std::numeric_limits<double>::max())) {
+    return kInf;
+  }
+  // gamma_m = m·u / (1 - m·u): m = K + n + 12 roundings, u = 2^-53.
+  const double mu = (static_cast<double>(dim) + count + 12.0) * 0x1p-53;
+  const double gamma = mu / (1.0 - mu);
+  const double magnitude = average ? total / count : total;
+  // Far above the (n + 2 + max‖T_v‖)(K + 3) underflow errors of at most
+  // 2^-1075 each that the two paths can make.
+  const double underflow =
+      (count + 2.0 + max_norm) * (static_cast<double>(dim) + 3.0) * 0x1p-1022;
+  // 2·gamma·magnitude, doubled again for the rounding of this bound.
+  return 4.0 * gamma * magnitude + underflow;
 }
 
 }  // namespace
@@ -160,7 +230,15 @@ uint64_t SeedBlock::ApproxBytes() const {
 }
 
 ServingTable::ServingTable(EmbeddingStore store)
-    : store_(std::move(store)), load_peak_bytes_(bytes()) {}
+    : store_(std::move(store)), load_peak_bytes_(bytes()) {
+  const EmbeddingStore& table = std::get<EmbeddingStore>(store_);
+  for (UserId v = 0; v < table.num_users(); ++v) {
+    max_target_norm_ = std::max(
+        max_target_norm_, NormUpperBound(table.Target(v).data(), table.dim()));
+    max_target_bias_ =
+        std::max(max_target_bias_, AbsOrInf(table.target_bias(v)));
+  }
+}
 
 ServingTable::ServingTable(QuantizedEmbeddingStore store)
     : store_(std::move(store)), load_peak_bytes_(bytes()) {}
@@ -212,6 +290,53 @@ double ServingTable::Score(const SeedBlock& block, UserId candidate,
   double score = 0.0;
   ScoreRange(block, aggregation, candidate, candidate + 1, &score);
   return score;
+}
+
+std::optional<CentroidScreen> ServingTable::MakeScreen(
+    const SeedBlock& block, Aggregation aggregation) const {
+  const bool average = aggregation == Aggregation::kAve;
+  if ((!average && aggregation != Aggregation::kSum) ||
+      mode() != QuantMode::kNone) {
+    return std::nullopt;
+  }
+  const size_t n = block.num_seeds();
+  const double* rows = std::get<SeedBlock::Fp64Rows>(block.rows).data();
+  CentroidScreen screen;
+  screen.centroid.assign(block.stride, 0.0);
+  double seed_norms = 0.0;
+  double seed_biases = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = rows + i * block.stride;
+    for (uint32_t d = 0; d < block.dim; ++d) screen.centroid[d] += row[d];
+    screen.bias += block.biases[i];
+    seed_norms += NormUpperBound(row, block.dim);
+    seed_biases += AbsOrInf(block.biases[i]);
+  }
+  const double count = static_cast<double>(n);
+  if (average) {
+    for (uint32_t d = 0; d < block.dim; ++d) screen.centroid[d] /= count;
+    screen.bias /= count;
+  } else {
+    screen.target_weight = count;
+  }
+  screen.epsilon = ScreenEpsilon(average, n, block.dim, seed_norms,
+                                 seed_biases, max_target_norm_,
+                                 max_target_bias_);
+  // A bound that is not finite would prune nothing: the plain scan is
+  // cheaper.
+  if (!std::isfinite(screen.epsilon)) return std::nullopt;
+  return screen;
+}
+
+void ServingTable::ScreenRange(const CentroidScreen& screen, UserId begin,
+                               UserId end, double* out) const {
+  const EmbeddingStore& table = std::get<EmbeddingStore>(store_);
+  for (UserId v = begin; v < end; ++v) {
+    out[v - begin] = kernels::Dot(screen.centroid.data(),
+                                  table.Target(v).data(), table.dim()) +
+                     screen.bias +
+                     screen.target_weight * table.target_bias(v);
+  }
 }
 
 Status ServingTable::CheckBlock(const SeedBlock& block) const {

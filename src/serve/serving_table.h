@@ -2,6 +2,7 @@
 #define INF2VEC_SERVE_SERVING_TABLE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -77,12 +78,33 @@ struct SeedBlock {
   uint64_t ApproxBytes() const;
 };
 
+/// The exact screen of a linear aggregator (Ave, Sum) for one seed block
+/// on an fp64 table. Eq. 7 under Ave or Sum is linear in the seeds'
+/// source rows, so one dot against their centroid gives every candidate
+/// the screen score s'(v) = c·T_v + b̄ + w·b~_v, within `epsilon` of the
+/// exact score (docs/ALGORITHMS.md, "Exact centroid screen", derives the
+/// bound). A candidate whose s'(v) + epsilon lies strictly below the
+/// current k-th exact score cannot enter the top k.
+struct CentroidScreen {
+  kernels::AlignedVector<double> centroid;  // c: mean (Ave) or sum (Sum).
+  double bias = 0.0;           // b̄: mean (Ave) or sum (Sum) of b_u.
+  double target_weight = 1.0;  // w: 1 (Ave) or the seed count (Sum).
+  /// Certified bound on |exact - s'|; always finite (MakeScreen gives no
+  /// screen when an input or intermediate could overflow).
+  double epsilon = 0.0;
+
+  /// s' + epsilon < kth, false when either side is NaN.
+  bool Prunes(double screen_score, double kth) const {
+    return screen_score + epsilon < kth;
+  }
+};
+
 /// The one embedding table a service scores from, in the numeric mode
 /// chosen at load. It owns exactly one table — the fp64 EmbeddingStore or
 /// the int8 QuantizedEmbeddingStore — and is the only code that knows
 /// their row formats: it gathers seed blocks, scores candidates against
-/// a block, checks a transported block's shape, warms its pages and
-/// reports its bytes. Each scoring call dispatches on the mode once, then
+/// a block, screens them against a block's centroid, checks a
+/// transported block's shape, warms its pages and reports its bytes. Each scoring call dispatches on the mode once, then
 /// runs that format's candidate loop. Immutable after construction, so
 /// concurrent readers need no locks.
 class ServingTable {
@@ -107,13 +129,25 @@ class ServingTable {
   /// scalar backend it is bit-identical to EmbeddingPredictor; int8
   /// combines exact integer dots through
   /// QuantizedEmbeddingStore::DequantScore, bit-identical to
-  /// QuantizedEmbeddingStore::Score. `block` must pass CheckBlock.
+  /// QuantizedEmbeddingStore::Score. Latest computes only the last
+  /// seed's term, the one it keeps. `block` must pass CheckBlock.
   void ScoreRange(const SeedBlock& block, Aggregation aggregation,
                   UserId begin, UserId end, double* out) const;
 
   /// ScoreRange for one candidate.
   double Score(const SeedBlock& block, UserId candidate,
                Aggregation aggregation) const;
+
+  /// The centroid screen for `block` (which must pass CheckBlock) under
+  /// `aggregation`; nullopt for Max and Latest, on an int8 table, and
+  /// when the bound is not finite.
+  std::optional<CentroidScreen> MakeScreen(const SeedBlock& block,
+                                           Aggregation aggregation) const;
+
+  /// Screen scores s'(v) for every candidate in [begin, end); one dot
+  /// per candidate. `screen` must come from this table's MakeScreen.
+  void ScreenRange(const CentroidScreen& screen, UserId begin, UserId end,
+                   double* out) const;
 
   /// A block from outside (the shard wire) must look exactly like one
   /// this table gathers: FailedPrecondition on a mode mismatch,
@@ -141,6 +175,10 @@ class ServingTable {
 
   std::variant<EmbeddingStore, QuantizedEmbeddingStore> store_;
   uint64_t load_peak_bytes_ = 0;
+  // Table-wide inputs of the screen bound (fp64 only): max ‖T_v‖ rounded
+  // up and max |b~_v|, each +inf when some entry is not finite.
+  double max_target_norm_ = 0.0;
+  double max_target_bias_ = 0.0;
 };
 
 /// Gathers the rows of `seeds` (in query order, duplicates kept) from

@@ -56,7 +56,9 @@ class HeapProfilerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     HeapProfiler& profiler = HeapProfiler::Default();
-    if (profiler.running()) ASSERT_TRUE(profiler.Stop().ok());
+    if (profiler.running()) {
+      ASSERT_TRUE(profiler.Stop().ok());
+    }
     profiler.Reset();
   }
   void TearDown() override {

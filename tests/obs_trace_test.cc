@@ -53,7 +53,7 @@ TEST(TraceCollectorTest, RingOverflowKeepsNewestEvents) {
   collector.set_enabled(true);
   for (int i = 0; i < 10; ++i) {
     collector.Record(TraceEvent{"e" + std::to_string(i), "test", 0,
-                                static_cast<uint64_t>(i), 1});
+                                static_cast<uint64_t>(i), 1, 0, 0, {}});
   }
   EXPECT_EQ(collector.size(), 4u);
   EXPECT_EQ(collector.dropped(), 6u);
@@ -67,7 +67,7 @@ TEST(TraceCollectorTest, RingOverflowKeepsNewestEvents) {
 TEST(TraceCollectorTest, ClearEmptiesRingAndRestartsEpoch) {
   TraceCollector collector(4);
   collector.set_enabled(true);
-  collector.Record(TraceEvent{"old", "test", 0, 0, 1});
+  collector.Record(TraceEvent{"old", "test", 0, 0, 1, 0, 0, {}});
   collector.Clear();
   EXPECT_EQ(collector.size(), 0u);
   EXPECT_EQ(collector.dropped(), 0u);
@@ -76,8 +76,8 @@ TEST(TraceCollectorTest, ClearEmptiesRingAndRestartsEpoch) {
 TEST(TraceCollectorTest, ChromeTraceJsonIsValidAndComplete) {
   TraceCollector collector(8);
   collector.set_enabled(true);
-  collector.Record(TraceEvent{"phase \"a\"", "cat", 3, 10, 25});
-  collector.Record(TraceEvent{"phase_b", "cat", 0, 40, 5});
+  collector.Record(TraceEvent{"phase \"a\"", "cat", 3, 10, 25, 0, 0, {}});
+  collector.Record(TraceEvent{"phase_b", "cat", 0, 40, 5, 0, 0, {}});
 
   const std::string json = collector.ToChromeTraceJson();
   Result<JsonValue> parsed = ParseJson(json);

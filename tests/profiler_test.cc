@@ -31,7 +31,7 @@ uint64_t BurnCpu(double seconds) {
   while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
              .count() < seconds) {
-    for (int i = 0; i < 1000; ++i) sink += static_cast<uint64_t>(i) * i;
+    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<uint64_t>(i) * i;
   }
   return sink;
 }
